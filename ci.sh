@@ -151,26 +151,26 @@ cmp results/backward-serial.json results/backward-par.json || {
     exit 1
 }
 
-echo "== SPF cache smoke bench (emits BENCH_pr3.json) =="
+echo "== SPF cache smoke bench (emits results/BENCH_pr3.smoke.json) =="
 DGMC_BENCH_SMOKE=1 cargo bench --offline -q -p dgmc-bench --bench cache
-test -s BENCH_pr3.json || { echo "BENCH_pr3.json missing or empty"; exit 1; }
+test -s results/BENCH_pr3.smoke.json || { echo "results/BENCH_pr3.smoke.json missing or empty"; exit 1; }
 
-echo "== parallel sweep smoke bench (emits BENCH_pr4.json) =="
+echo "== parallel sweep smoke bench (emits results/BENCH_pr4.smoke.json) =="
 DGMC_BENCH_SMOKE=1 cargo bench --offline -q -p dgmc-bench --bench sweep
-test -s BENCH_pr4.json || { echo "BENCH_pr4.json missing or empty"; exit 1; }
+test -s results/BENCH_pr4.smoke.json || { echo "results/BENCH_pr4.smoke.json missing or empty"; exit 1; }
 
-echo "== incremental-SPF smoke bench (emits BENCH_pr8.json, jobs-identical) =="
+echo "== incremental-SPF smoke bench (emits results/BENCH_pr8.smoke.json, jobs-identical) =="
 DGMC_BENCH_SMOKE=1 cargo bench --offline -q -p dgmc-bench --bench incremental -- --jobs 1
-test -s BENCH_pr8.json || { echo "BENCH_pr8.json missing or empty"; exit 1; }
-grep -q '"churn_gate_ok": true' BENCH_pr8.json || {
+test -s results/BENCH_pr8.smoke.json || { echo "results/BENCH_pr8.smoke.json missing or empty"; exit 1; }
+grep -q '"churn_gate_ok": true' results/BENCH_pr8.smoke.json || {
     echo "incremental SPF below the 1.5x churn-regime bar"
     exit 1
 }
-grep -q '"no_pessimization": true' BENCH_pr8.json || {
+grep -q '"no_pessimization": true' results/BENCH_pr8.smoke.json || {
     echo "a cached scenario ran slower than from-scratch recompute"
     exit 1
 }
-eq=$(sed -n 's/.*"equivalence_events": \([0-9]*\).*/\1/p' BENCH_pr8.json)
+eq=$(sed -n 's/.*"equivalence_events": \([0-9]*\).*/\1/p' results/BENCH_pr8.smoke.json)
 [ "${eq:-0}" -gt 0 ] || {
     echo "no cached-vs-uncached equivalence events were verified"
     exit 1
@@ -182,14 +182,14 @@ cmp results/bench_pr8.report.serial.json results/bench_pr8.report.json || {
     exit 1
 }
 
-echo "== many-MC smoke bench (emits BENCH_pr9.json, jobs-identical) =="
+echo "== many-MC smoke bench (emits results/BENCH_pr9.smoke.json, jobs-identical) =="
 DGMC_BENCH_SMOKE=1 cargo bench --offline -q -p dgmc-bench --bench many_mc -- --jobs 1
-test -s BENCH_pr9.json || { echo "BENCH_pr9.json missing or empty"; exit 1; }
-grep -q '"many_mc_gate_ok": true' BENCH_pr9.json || {
+test -s results/BENCH_pr9.smoke.json || { echo "results/BENCH_pr9.smoke.json missing or empty"; exit 1; }
+grep -q '"many_mc_gate_ok": true' results/BENCH_pr9.smoke.json || {
     echo "arena event path below the 2x many-MC bar"
     exit 1
 }
-grep -q '"no_pessimization": true' BENCH_pr9.json || {
+grep -q '"no_pessimization": true' results/BENCH_pr9.smoke.json || {
     echo "an arena scenario ran slower than the pre-arena scan path"
     exit 1
 }

@@ -14,7 +14,8 @@
 //!
 //! The vendored criterion shim has no data export, so this bench times with
 //! `std::time::Instant` directly and writes its own JSON. Set
-//! `DGMC_BENCH_SMOKE=1` for a reduced-sample CI run.
+//! `DGMC_BENCH_SMOKE=1` for a reduced-sample CI run, which writes
+//! `results/BENCH_pr3.smoke.json` instead.
 
 use dgmc_core::switch::DgmcConfig;
 use dgmc_experiments::runner;
@@ -235,9 +236,7 @@ fn main() {
         );
     }
     let json = write_json(&scenarios);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr3.json");
-    std::fs::write(path, &json).expect("write BENCH_pr3.json");
-    println!("wrote {path}");
+    dgmc_bench::write_bench_json("pr3", smoke, &json);
     // No-pessimization gate, every scenario, both modes: the cached path may
     // never be materially slower than recomputing from scratch. Compared on
     // per-sample minima with 5% tolerance (min_cached <= min_uncached * 1.05,

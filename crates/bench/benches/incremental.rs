@@ -21,7 +21,8 @@
 //! Gates (asserted in-process after the JSON is written, so failures leave
 //! evidence): every churn scenario ≥ 1.5× on per-sample minima, and **no**
 //! scenario's cached minimum may exceed its uncached minimum by more than 5%.
-//! Set `DGMC_BENCH_SMOKE=1` for a reduced CI run (the gates still apply).
+//! Set `DGMC_BENCH_SMOKE=1` for a reduced CI run (the gates still apply),
+//! which writes `results/BENCH_pr8.smoke.json` instead.
 
 use dgmc_experiments::churn::{churn_event_path, ChurnParams};
 use dgmc_mctree::{algorithms, repair, McTopology};
@@ -412,9 +413,7 @@ fn main() {
     }
 
     let json = write_json(&scenarios, equivalence_events);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr8.json");
-    std::fs::write(path, &json).expect("write BENCH_pr8.json");
-    println!("wrote {path}");
+    dgmc_bench::write_bench_json("pr8", smoke, &json);
 
     let report = write_report(&scenarios, &sweep, equivalence_events);
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");

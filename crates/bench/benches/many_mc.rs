@@ -26,7 +26,8 @@
 //! baseline's, and the timing-free sidecar `results/bench_pr9.report.json`
 //! (action checksums, affected counts) is compared byte-for-byte between
 //! `--jobs 1` and `--jobs 4` by CI. Set `DGMC_BENCH_SMOKE=1` for a reduced
-//! run (the gates still apply).
+//! run (the gates still apply), which writes `results/BENCH_pr9.smoke.json`
+//! instead.
 
 use dgmc_core::{DgmcAction, DgmcEngine, McId, McSync, McTopology, McType, Role, Timestamp};
 use dgmc_mctree::SphStrategy;
@@ -358,9 +359,7 @@ fn main() {
     }
 
     let json = write_json(&scenarios, jobs, timed_jobs, hw);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr9.json");
-    std::fs::write(path, &json).expect("write BENCH_pr9.json");
-    println!("wrote {path}");
+    dgmc_bench::write_bench_json("pr9", smoke, &json);
 
     let report = write_report(&scenarios);
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");

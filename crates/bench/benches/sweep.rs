@@ -18,7 +18,8 @@
 //!
 //! The vendored criterion shim has no data export, so this bench times with
 //! `std::time::Instant` directly and writes its own JSON. Set
-//! `DGMC_BENCH_SMOKE=1` for a reduced-size CI run.
+//! `DGMC_BENCH_SMOKE=1` for a reduced-size CI run, which writes
+//! `results/BENCH_pr4.smoke.json` instead.
 
 use dgmc_core::switch::DgmcConfig;
 use dgmc_des::explorer::ExploreConfig;
@@ -173,9 +174,7 @@ fn main() {
         );
     }
     let json = write_json(&scenarios, jobs, cores);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr4.json");
-    std::fs::write(path, &json).expect("write BENCH_pr4.json");
-    println!("wrote {path}");
+    dgmc_bench::write_bench_json("pr4", smoke, &json);
     if cores >= 4 && !smoke {
         let explorer = &scenarios[0];
         assert!(

@@ -15,8 +15,9 @@
 //! * [`McLsa`] — the `(S, F, V, G, P, T)` advertisement tuple,
 //! * [`DgmcEngine`] — the `EventHandler()`/`ReceiveLSA()` state machines of
 //!   the paper's Figures 4 and 5, pure and unit-testable,
-//! * [`switch`] — the simulated switch actor combining the engine with the
-//!   [`dgmc_lsr`] substrate, `Tc`-long computations and a data plane,
+//! * [`switch`] — the sans-IO switch core combining the engine with the
+//!   [`dgmc_lsr`] substrate, `Tc`-long computations and a data plane, and
+//!   the DES actor that drives it,
 //! * [`convergence`] — consensus checks and convergence-time measurement.
 //!
 //! # Examples

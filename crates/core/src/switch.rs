@@ -1,17 +1,38 @@
-//! The simulated D-GMC switch: a DES actor hosting the unicast LSR
-//! substrate, the flooding engine and the [`DgmcEngine`], with the paper's
-//! timing model (`Tc`-long topology computations, per-hop LSA delays) and a
-//! data plane for end-to-end delivery checks.
+//! The D-GMC switch: one sans-IO protocol core and its simulator driver.
+//!
+//! [`SwitchCore`] is the whole switch behaviour of the paper —
+//! `EventHandler()`/`ReceiveLSA()` (Figs. 4–5, in [`DgmcEngine`]) on top of
+//! LSR flooding, the `Tc`-long topology computations and a data plane for
+//! end-to-end delivery checks. It performs no I/O: every handler takes the
+//! tick-domain time in nanoseconds and the caller's
+//! [`MetricsRegistry`], and returns the [`Output`]s (frames to send, timers
+//! to arm) for its driver to carry out.
+//!
+//! Two drivers run the same core:
+//!
+//! * [`DgmcSwitch`] — the DES actor. It maps [`SwitchMsg`]s onto the
+//!   handlers and replays the outputs, in order, onto `ctx.send` (one
+//!   per-hop delay per frame) and `ctx.schedule_self`.
+//! * `dgmc_node::proto::NodeCore` — the real-socket node, which encodes each
+//!   [`Frame`] as one UDP datagram.
+//!
+//! Hardening lives in the core, so both drivers get it: frames from a
+//! switch that is not a neighbour on any incident link are dropped and
+//! counted under [`counters::UNKNOWN_SENDER`], link events naming an
+//! unknown neighbour are ignored, and a failed switch drops every input
+//! except its administrative revival. Only the DES driver panics on a link
+//! event for a non-incident link, which there is a harness bug.
 
-use crate::{DgmcAction, DgmcEngine, McId, McLsa};
+use crate::{DgmcAction, DgmcEngine, McId, McLsa, McSync};
 use dgmc_des::{Actor, ActorId, Ctx, Envelope, SimDuration, SimTime, Simulation};
 use dgmc_lsr::flood::Flooder;
-use dgmc_lsr::lsa::{FloodPacket, RouterLsa};
+use dgmc_lsr::lsa::{FloodPacket, LinkAdv, RouterLsa};
 use dgmc_lsr::{Lsdb, RoutingTable};
 use dgmc_mctree::{McAlgorithm, McType, Role};
-use dgmc_obs::SharedObserver;
+use dgmc_obs::{MetricsRegistry, SharedObserver};
 use dgmc_topology::{LinkId, Network, NodeId, SpfCache, SpfCacheStats};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 /// Everything that can be flooded: the paper's MC and non-MC LSAs.
@@ -53,16 +74,29 @@ pub enum DataKind {
     },
 }
 
+/// Everything one switch sends another: one UDP datagram in the node, one
+/// [`SwitchMsg::Frame`] in the DES.
+#[derive(Debug, Clone)]
+pub enum Frame {
+    /// A flood packet (router or MC LSA) relayed hop by hop.
+    Flood(FloodPacket<DgmcPayload>),
+    /// OSPF-style database exchange sent to a neighbour after the link to
+    /// it came up: the sender's router LSAs and MC state snapshots.
+    DbSync {
+        /// The sender's router LSA database.
+        router_lsas: Vec<RouterLsa>,
+        /// The sender's per-MC state snapshots.
+        mc_states: Vec<McSync>,
+    },
+    /// A data-plane packet.
+    Data(DataMsg),
+}
+
 /// Messages delivered to a [`DgmcSwitch`].
 #[derive(Debug, Clone)]
 pub enum SwitchMsg {
-    /// A flood packet arriving over `via`.
-    Packet {
-        /// The packet.
-        packet: FloodPacket<DgmcPayload>,
-        /// Arrival link.
-        via: LinkId,
-    },
+    /// A frame from the neighbouring switch `Envelope::from`.
+    Frame(Frame),
     /// An attached host asks to join connection `mc`.
     HostJoin {
         /// The connection.
@@ -99,25 +133,15 @@ pub enum SwitchMsg {
         /// Unique packet id.
         packet_id: u64,
     },
-    /// A data packet in flight.
-    Data(DataMsg),
     /// Administrative node failure/recovery (nodal events).
     NodeAdmin {
         /// `false` takes the switch down (it drops all traffic); `true`
         /// revives it.
         up: bool,
     },
-    /// OSPF-style database exchange received from a neighbor after a link
-    /// to it came up: the neighbor's router LSAs and MC state snapshots.
-    DbSync {
-        /// The neighbor's router LSA database.
-        router_lsas: Vec<RouterLsa>,
-        /// The neighbor's per-MC state snapshots.
-        mc_states: Vec<crate::McSync>,
-    },
 }
 
-/// Counter names bumped by [`DgmcSwitch`].
+/// Counter names bumped by [`SwitchCore`].
 pub mod counters {
     /// Topology computations started (the paper's "proposals per event"
     /// numerator).
@@ -151,10 +175,13 @@ pub mod counters {
     pub const SPF_CACHE_REPAIRS: &str = "spf_cache.repairs";
     /// Cache generations evicted because the image kept changing.
     pub const SPF_CACHE_INVALIDATIONS: &str = "spf_cache.invalidations";
+    /// Frames dropped because the sender is not a neighbour on any
+    /// incident link (never bumped by a well-formed DES run).
+    pub const UNKNOWN_SENDER: &str = "node.unknown_sender";
 }
 
-/// Histogram names recorded by [`DgmcSwitch`] into the simulation's
-/// [`dgmc_obs::MetricsRegistry`].
+/// Histogram names recorded by [`SwitchCore`] into its driver's
+/// [`MetricsRegistry`].
 pub mod histograms {
     /// Links fanned out per flood operation (MC and router LSAs alike).
     pub const FLOOD_FANOUT: &str = "dgmc.flood_fanout";
@@ -207,10 +234,49 @@ impl DgmcConfig {
     }
 }
 
-/// A network switch running the D-GMC protocol over an LSR substrate.
-pub struct DgmcSwitch {
+/// What a [`SwitchCore`] handler asks its driver to do.
+#[derive(Debug, Clone)]
+pub enum Output {
+    /// Deliver `frame` to neighbour `to`.
+    Send {
+        /// Destination switch.
+        to: NodeId,
+        /// The frame to put on the link.
+        frame: Frame,
+    },
+    /// Arm the `Tc` computation timer for `mc`, `after_nanos` from now; on
+    /// expiry feed [`SwitchCore::on_computation_done`].
+    StartTimer {
+        /// The connection being recomputed.
+        mc: McId,
+        /// Delay in tick-domain nanoseconds.
+        after_nanos: u64,
+    },
+}
+
+/// The in-progress result of one handler call: the current time, the
+/// caller's registry and the outputs emitted so far.
+struct Step<'a> {
+    now: u64,
+    metrics: &'a mut MetricsRegistry,
+    out: Vec<Output>,
+}
+
+impl Step<'_> {
+    fn count(&mut self, name: &str, n: u64) {
+        *self.metrics.counter_slot(name) += n;
+    }
+
+    fn send(&mut self, to: NodeId, frame: Frame) {
+        self.out.push(Output::Send { to, frame });
+    }
+}
+
+/// The sans-IO D-GMC switch (see the module docs): the [`DgmcEngine`], the
+/// flooder, the LSDB, the routing table and the local incident-link truth.
+pub struct SwitchCore {
     me: NodeId,
-    config: DgmcConfig,
+    tc_nanos: u64,
     flooder: Flooder,
     lsdb: Lsdb,
     routes: RoutingTable,
@@ -220,49 +286,43 @@ pub struct DgmcSwitch {
     engine: DgmcEngine,
     spf_cache: SpfCache,
     image: Network,
-    last_install: SimTime,
+    /// Tick-domain instant of the most recent topology install.
+    last_install: u64,
     /// (mc, packet_id) -> copies delivered to the local host.
     delivered: BTreeMap<(McId, u64), u32>,
     /// `true` while administratively failed: all traffic is dropped.
     failed: bool,
     /// When the in-flight computation for each MC started (latency metric).
-    computation_started: BTreeMap<McId, SimTime>,
+    computation_started: BTreeMap<McId, u64>,
     /// Edge set of the previously installed topology per MC, for the
     /// disruption-on-rearrangement counter.
-    installed_edges: BTreeMap<McId, std::collections::BTreeSet<(NodeId, NodeId)>>,
+    installed_edges: BTreeMap<McId, BTreeSet<(NodeId, NodeId)>>,
     /// Withdrawals seen since the last local membership event.
     withdrawn_since_event: u64,
+    /// An empty output buffer handed back by `recycle`.
+    spare: Vec<Output>,
 }
 
-impl std::fmt::Debug for DgmcSwitch {
+impl std::fmt::Debug for SwitchCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DgmcSwitch")
+        f.debug_struct("SwitchCore")
             .field("me", &self.me)
             .field("mcs", &self.engine.mc_ids())
             .finish()
     }
 }
 
-impl DgmcSwitch {
+impl SwitchCore {
     /// Creates the switch warm-started on the ground-truth network `net`.
+    /// `tc_nanos` is the `Tc` computation time in tick-domain nanoseconds;
+    /// `spf_cache` serves the routing table and every MC computation.
     pub fn new(
         me: NodeId,
         net: &Network,
-        config: DgmcConfig,
-        algorithm: Rc<dyn McAlgorithm>,
-    ) -> DgmcSwitch {
-        Self::new_with_cache(me, net, config, algorithm, SpfCache::new())
-    }
-
-    /// [`new`](Self::new) with an explicit SPF cache, so the warm-start
-    /// routing computation already shares work with sibling switches.
-    pub fn new_with_cache(
-        me: NodeId,
-        net: &Network,
-        config: DgmcConfig,
+        tc_nanos: u64,
         algorithm: Rc<dyn McAlgorithm>,
         spf_cache: SpfCache,
-    ) -> DgmcSwitch {
+    ) -> SwitchCore {
         let mut lsdb = Lsdb::new(net.len());
         for n in net.nodes() {
             lsdb.install(RouterLsa::describe(net, n, 0));
@@ -276,9 +336,9 @@ impl DgmcSwitch {
             .collect();
         let mut engine = DgmcEngine::new(me, net.len(), algorithm);
         engine.set_spf_cache(spf_cache.clone());
-        DgmcSwitch {
+        SwitchCore {
             me,
-            config,
+            tc_nanos,
             flooder: Flooder::new(me),
             lsdb,
             routes,
@@ -287,12 +347,13 @@ impl DgmcSwitch {
             engine,
             spf_cache,
             image,
-            last_install: SimTime::ZERO,
+            last_install: 0,
             delivered: BTreeMap::new(),
             failed: false,
             computation_started: BTreeMap::new(),
             installed_edges: BTreeMap::new(),
             withdrawn_since_event: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -307,19 +368,6 @@ impl DgmcSwitch {
     /// outputs stay byte-identical for every value.
     pub fn set_jobs(&mut self, jobs: usize) {
         self.engine.set_jobs(jobs);
-    }
-
-    /// Replaces the switch's SPF cache, typically with one shared by every
-    /// switch of the simulation: identical local images hash to the same
-    /// digest, so SPF work done by one switch is reused by all others.
-    pub fn set_spf_cache(&mut self, cache: SpfCache) {
-        self.engine.set_spf_cache(cache.clone());
-        self.spf_cache = cache;
-    }
-
-    /// The SPF cache used for routing-table and MC topology computations.
-    pub fn spf_cache(&self) -> &SpfCache {
-        &self.spf_cache
     }
 
     /// The switch id.
@@ -345,15 +393,10 @@ impl DgmcSwitch {
 
     /// The switch's current local image of the network (the LSDB
     /// reconstruction its computations run against). Read-only: exposed so
-    /// external drivers and conformance checks can snapshot derived state
-    /// (e.g. installed-tree costs) without re-deriving the image.
+    /// drivers and conformance checks can snapshot derived state (e.g.
+    /// installed-tree costs) without re-deriving the image.
     pub fn image(&self) -> &Network {
         &self.image
-    }
-
-    /// Simulated instant of the switch's most recent topology install.
-    pub fn last_install(&self) -> SimTime {
-        self.last_install
     }
 
     /// How many copies of `(mc, packet_id)` the local host received.
@@ -361,21 +404,19 @@ impl DgmcSwitch {
         self.delivered.get(&(mc, packet_id)).copied().unwrap_or(0)
     }
 
-    fn up_links(&self) -> Vec<(LinkId, NodeId)> {
-        self.incident
-            .iter()
-            .filter(|(.., up)| *up)
-            .map(|&(l, n, ..)| (l, n))
-            .collect()
+    /// All delivery counts, keyed by `(mc, packet_id)`.
+    pub fn deliveries(&self) -> &BTreeMap<(McId, u64), u32> {
+        &self.delivered
     }
 
-    fn link_to(&self, neighbor: NodeId) -> Option<LinkId> {
-        self.incident
-            .iter()
-            .find(|&&(_, n, _, up)| n == neighbor && up)
-            .map(|&(l, ..)| l)
+    /// Hands a handler's drained output buffer back, so the next handler
+    /// call reuses its allocation.
+    fn recycle(&mut self, mut outputs: Vec<Output>) {
+        outputs.clear();
+        self.spare = outputs;
     }
 
+    /// The neighbour across incident link `link`, if `link` is incident.
     fn neighbor_of(&self, link: LinkId) -> Option<NodeId> {
         self.incident
             .iter()
@@ -383,76 +424,83 @@ impl DgmcSwitch {
             .map(|&(_, n, ..)| n)
     }
 
-    fn flood(
+    /// The incident link toward `neighbor` and whether it is up. Links are
+    /// never parallel, so the neighbour id names at most one link.
+    fn link_to(&self, neighbor: NodeId) -> Option<(LinkId, bool)> {
+        self.incident
+            .iter()
+            .find(|&&(_, n, ..)| n == neighbor)
+            .map(|&(l, _, _, up)| (l, up))
+    }
+
+    /// Stamps the decision observer with `now`, runs `body` unless the
+    /// switch is failed, and returns its outputs.
+    fn step(
         &mut self,
-        ctx: &mut Ctx<'_, SwitchMsg>,
-        payload: DgmcPayload,
-        except: Option<LinkId>,
-    ) {
+        now: u64,
+        metrics: &mut MetricsRegistry,
+        body: impl FnOnce(&mut Self, &mut Step<'_>),
+    ) -> Vec<Output> {
+        self.engine.observer().set_now(now);
+        let mut step = Step {
+            now,
+            metrics,
+            out: std::mem::take(&mut self.spare),
+        };
+        if !self.failed {
+            body(self, &mut step);
+        }
+        step.out
+    }
+
+    fn flood(&mut self, step: &mut Step<'_>, payload: DgmcPayload) {
         let packet = self.flooder.originate(payload);
-        let mut fanout = 0u64;
-        for (link, neighbor) in self.up_links() {
-            if Some(link) == except {
-                continue;
-            }
-            fanout += 1;
-            ctx.send(
-                ActorId(neighbor.0),
-                self.config.per_hop,
-                SwitchMsg::Packet {
-                    packet: packet.clone(),
-                    via: link,
-                },
-            );
-        }
-        ctx.metrics()
-            .observe_named(histograms::FLOOD_FANOUT, fanout);
+        let fanout = self.relay(step, &packet, None);
+        step.metrics.observe_named(histograms::FLOOD_FANOUT, fanout);
     }
 
+    /// Sends `packet` on every up incident link except `except` and returns
+    /// how many copies went out.
     fn relay(
-        &mut self,
-        ctx: &mut Ctx<'_, SwitchMsg>,
+        &self,
+        step: &mut Step<'_>,
         packet: &FloodPacket<DgmcPayload>,
-        via: LinkId,
-    ) {
-        for (link, neighbor) in self.up_links() {
-            if link == via {
-                continue;
+        except: Option<LinkId>,
+    ) -> u64 {
+        let mut fanout = 0;
+        for &(link, neighbor, _, up) in &self.incident {
+            if up && Some(link) != except {
+                fanout += 1;
+                step.send(neighbor, Frame::Flood(packet.clone()));
             }
-            ctx.send(
-                ActorId(neighbor.0),
-                self.config.per_hop,
-                SwitchMsg::Packet {
-                    packet: packet.clone(),
-                    via: link,
-                },
-            );
         }
+        fanout
     }
 
-    fn execute(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, actions: Vec<DgmcAction>) {
+    fn execute(&mut self, step: &mut Step<'_>, actions: Vec<DgmcAction>) {
         for action in actions {
             match action {
                 DgmcAction::Flood(lsa) => {
-                    ctx.counter(counters::FLOODINGS).incr();
-                    self.flood(ctx, DgmcPayload::Mc(lsa), None);
+                    step.count(counters::FLOODINGS, 1);
+                    self.flood(step, DgmcPayload::Mc(lsa));
                 }
                 DgmcAction::StartComputation { mc } => {
-                    ctx.counter(counters::COMPUTATIONS).incr();
-                    self.computation_started.entry(mc).or_insert(ctx.now());
-                    ctx.schedule_self(self.config.tc, SwitchMsg::ComputationDone { mc });
+                    step.count(counters::COMPUTATIONS, 1);
+                    self.computation_started.entry(mc).or_insert(step.now);
+                    step.out.push(Output::StartTimer {
+                        mc,
+                        after_nanos: self.tc_nanos,
+                    });
                 }
                 DgmcAction::Installed { mc } => {
-                    ctx.counter(counters::INSTALLS).incr();
-                    self.last_install = ctx.now();
+                    step.count(counters::INSTALLS, 1);
+                    self.last_install = step.now;
                     if let Some(started) = self.computation_started.remove(&mc) {
-                        let latency = ctx.now() - started;
-                        ctx.metrics().observe_named(
-                            histograms::INSTALL_LATENCY_US,
-                            latency.as_nanos() / 1_000,
-                        );
+                        let latency = step.now.saturating_sub(started);
+                        step.metrics
+                            .observe_named(histograms::INSTALL_LATENCY_US, latency / 1_000);
                     }
-                    let edges: std::collections::BTreeSet<(NodeId, NodeId)> = self
+                    let edges: BTreeSet<(NodeId, NodeId)> = self
                         .engine
                         .installed(mc)
                         .map(|t| t.edges().collect())
@@ -464,81 +512,76 @@ impl DgmcSwitch {
                                 .count(),
                         )
                         .expect("edge count fits u64");
-                        ctx.counter(counters::DISRUPTED_EDGES).add(disrupted);
+                        step.count(counters::DISRUPTED_EDGES, disrupted);
                     }
                 }
                 DgmcAction::Withdrawn { mc: _ } => {
-                    ctx.counter(counters::WITHDRAWN).incr();
+                    step.count(counters::WITHDRAWN, 1);
                     self.withdrawn_since_event += 1;
                 }
             }
         }
     }
 
-    /// A new local membership event starts a fresh withdrawal episode:
-    /// record how many withdrawals the previous one cost.
-    fn close_event_episode(&mut self, ctx: &mut Ctx<'_, SwitchMsg>) {
-        ctx.metrics().observe_named(
-            histograms::WITHDRAWALS_PER_EVENT,
-            self.withdrawn_since_event,
-        );
-        self.withdrawn_since_event = 0;
+    /// A local membership event: counts it and starts a fresh withdrawal
+    /// episode, recording how many withdrawals the previous one cost.
+    fn member_event(&mut self, step: &mut Step<'_>, actions: Vec<DgmcAction>) {
+        if !actions.is_empty() {
+            step.count(counters::MEMBER_EVENTS, 1);
+            step.metrics.observe_named(
+                histograms::WITHDRAWALS_PER_EVENT,
+                self.withdrawn_since_event,
+            );
+            self.withdrawn_since_event = 0;
+        }
+        self.execute(step, actions);
     }
 
-    fn refresh_image(&mut self, ctx: &mut Ctx<'_, SwitchMsg>) {
+    fn refresh_image(&mut self, step: &mut Step<'_>) {
         let before = self.spf_cache.stats();
         self.image = self.lsdb.local_image();
         self.routes = RoutingTable::compute_with(&self.image, self.me, &self.spf_cache);
-        self.record_spf_delta(ctx, before);
+        self.record_spf_delta(step, before);
     }
 
-    /// Publishes the cache activity caused by one handler step into the
-    /// simulation's metrics. Only deterministic quantities are recorded
-    /// (hit/miss/invalidation counts and settled-node work); wall-clock
-    /// nanoseconds stay out of the registry so `metrics.json` is
-    /// byte-identical across hosts and runs.
-    fn record_spf_delta(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, before: SpfCacheStats) {
+    /// Publishes the cache activity caused by one handler step. Only
+    /// deterministic quantities are recorded (hit/miss/invalidation counts
+    /// and settled-node work); wall-clock nanoseconds stay out of the
+    /// registry so `metrics.json` is byte-identical across hosts and runs.
+    fn record_spf_delta(&mut self, step: &mut Step<'_>, before: SpfCacheStats) {
         let after = self.spf_cache.stats();
-        ctx.counter(counters::SPF_CACHE_HITS)
-            .add(after.hits - before.hits);
-        ctx.counter(counters::SPF_CACHE_MISSES)
-            .add(after.misses - before.misses);
-        ctx.counter(counters::SPF_CACHE_REPAIRS)
-            .add(after.repairs - before.repairs);
-        ctx.counter(counters::SPF_CACHE_INVALIDATIONS)
-            .add(after.invalidations - before.invalidations);
+        step.count(counters::SPF_CACHE_HITS, after.hits - before.hits);
+        step.count(counters::SPF_CACHE_MISSES, after.misses - before.misses);
+        step.count(counters::SPF_CACHE_REPAIRS, after.repairs - before.repairs);
+        step.count(
+            counters::SPF_CACHE_INVALIDATIONS,
+            after.invalidations - before.invalidations,
+        );
         if after.misses > before.misses {
-            ctx.metrics().observe_named(
+            step.metrics.observe_named(
                 histograms::SPF_SETTLED_PER_COMPUTE,
                 after.settled_nodes - before.settled_nodes,
             );
         }
     }
 
-    fn deliver_locally(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, data: &DataMsg) {
+    fn forward_tree(&mut self, step: &mut Step<'_>, data: DataMsg, via: Option<LinkId>) {
         if self.engine.is_member(data.mc) {
-            ctx.counter(counters::DATA_DELIVERED).incr();
+            step.count(counters::DATA_DELIVERED, 1);
             *self.delivered.entry((data.mc, data.packet_id)).or_insert(0) += 1;
         }
-    }
-
-    fn forward_tree(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, data: DataMsg, via: Option<LinkId>) {
-        self.deliver_locally(ctx, &data);
         let Some(topology) = self.engine.installed(data.mc) else {
             return;
         };
         let from = via.and_then(|l| self.neighbor_of(l));
-        let next_hops: Vec<NodeId> = topology
-            .neighbors_in(self.me)
-            .into_iter()
-            .filter(|&n| Some(n) != from)
-            .collect();
-        for n in next_hops {
-            if let Some(link) = self.link_to(n) {
-                ctx.send(
-                    ActorId(n.0),
-                    self.config.per_hop,
-                    SwitchMsg::Data(DataMsg {
+        for n in topology.neighbors_in(self.me) {
+            if Some(n) == from {
+                continue;
+            }
+            if let Some((link, true)) = self.link_to(n) {
+                step.send(
+                    n,
+                    Frame::Data(DataMsg {
                         kind: DataKind::TreeFlood { via: Some(link) },
                         ..data.clone()
                     }),
@@ -547,7 +590,21 @@ impl DgmcSwitch {
         }
     }
 
-    fn inject_data(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, mc: McId, packet_id: u64) {
+    /// Sends a receiver-only style first-stage packet one hop toward its
+    /// contact switch, or starts tree delivery if this switch is the contact.
+    fn toward_contact(&mut self, step: &mut Step<'_>, data: DataMsg, contact: NodeId) {
+        if contact == self.me {
+            let data = DataMsg {
+                kind: DataKind::TreeFlood { via: None },
+                ..data
+            };
+            self.forward_tree(step, data, None);
+        } else if let Some(next) = self.routes.next_hop(contact) {
+            step.send(next, Frame::Data(data));
+        }
+    }
+
+    fn inject_data(&mut self, step: &mut Step<'_>, mc: McId, packet_id: u64) {
         let data = DataMsg {
             mc,
             packet_id,
@@ -561,7 +618,7 @@ impl DgmcSwitch {
                 .is_some_and(|t| t.touches(self.me))
         {
             // On the tree already: second-stage tree delivery.
-            self.forward_tree(ctx, data, None);
+            self.forward_tree(step, data, None);
             return;
         }
         // Receiver-only style first stage: unicast to the nearest tree node
@@ -575,186 +632,285 @@ impl DgmcSwitch {
             .filter_map(|n| self.routes.cost(n).map(|c| (c, n)))
             .min();
         let Some((_, contact)) = contact else { return };
-        let msg = SwitchMsg::Data(DataMsg {
+        let data = DataMsg {
             kind: DataKind::UnicastToContact { contact },
             ..data
-        });
-        if contact == self.me {
-            // We are the contact (e.g. zero-cost self route can't happen as
-            // we're off-tree, but stay safe).
-            if let SwitchMsg::Data(d) = msg {
-                self.forward_tree(ctx, d, None);
+        };
+        self.toward_contact(step, data, contact);
+    }
+
+    /// Handles one frame from neighbour `from`. Frames from a switch that
+    /// is not a neighbour on any incident link are dropped and counted
+    /// under [`counters::UNKNOWN_SENDER`].
+    pub fn on_frame(
+        &mut self,
+        now: u64,
+        metrics: &mut MetricsRegistry,
+        from: NodeId,
+        frame: Frame,
+    ) -> Vec<Output> {
+        self.step(now, metrics, |sw, step| {
+            let Some((via, _)) = sw.link_to(from) else {
+                step.count(counters::UNKNOWN_SENDER, 1);
+                return;
+            };
+            match frame {
+                Frame::Flood(packet) => {
+                    if !sw.flooder.accept(packet.id) {
+                        step.count(counters::DUPLICATES, 1);
+                        return;
+                    }
+                    sw.relay(step, &packet, Some(via));
+                    match packet.payload {
+                        DgmcPayload::Router(lsa) => {
+                            if sw.lsdb.install(lsa) {
+                                sw.refresh_image(step);
+                            }
+                        }
+                        DgmcPayload::Mc(lsa) => {
+                            step.count(counters::MC_LSAS, 1);
+                            let actions = sw.engine.on_mc_lsa(lsa);
+                            sw.execute(step, actions);
+                        }
+                    }
+                }
+                Frame::DbSync {
+                    router_lsas,
+                    mc_states,
+                } => {
+                    let mut changed = false;
+                    for lsa in router_lsas {
+                        changed |= sw.lsdb.install(lsa);
+                    }
+                    if changed {
+                        sw.refresh_image(step);
+                    }
+                    let actions = sw.engine.import_sync(mc_states);
+                    sw.execute(step, actions);
+                }
+                Frame::Data(data) => match data.kind {
+                    DataKind::TreeFlood { via } => sw.forward_tree(step, data, via),
+                    DataKind::UnicastToContact { contact } => {
+                        sw.toward_contact(step, data, contact);
+                    }
+                },
             }
-            return;
+        })
+    }
+
+    /// A local host joins `mc`.
+    pub fn on_join(
+        &mut self,
+        now: u64,
+        metrics: &mut MetricsRegistry,
+        mc: McId,
+        mc_type: McType,
+        role: Role,
+    ) -> Vec<Output> {
+        self.step(now, metrics, |sw, step| {
+            let actions = sw.engine.local_join(mc, mc_type, role);
+            sw.member_event(step, actions);
+        })
+    }
+
+    /// A local host leaves `mc`.
+    pub fn on_leave(&mut self, now: u64, metrics: &mut MetricsRegistry, mc: McId) -> Vec<Output> {
+        self.step(now, metrics, |sw, step| {
+            let actions = sw.engine.local_leave(mc);
+            sw.member_event(step, actions);
+        })
+    }
+
+    /// The incident link toward `neighbor` changed state; `detector` marks
+    /// the advertising endpoint. A neighbour on no incident link is ignored.
+    pub fn on_link_event(
+        &mut self,
+        now: u64,
+        metrics: &mut MetricsRegistry,
+        neighbor: NodeId,
+        up: bool,
+        detector: bool,
+    ) -> Vec<Output> {
+        self.step(now, metrics, |sw, step| {
+            let Some(entry) = sw.incident.iter_mut().find(|(_, n, ..)| *n == neighbor) else {
+                return;
+            };
+            entry.3 = up;
+            if up {
+                // Database exchange toward the (possibly just revived) far
+                // endpoint, as OSPF does when an adjacency forms.
+                let node_count = u32::try_from(sw.lsdb.node_count()).expect("node ids fit u32");
+                let router_lsas = (0..node_count)
+                    .filter_map(|i| sw.lsdb.get(NodeId(i)).cloned())
+                    .collect();
+                step.send(
+                    neighbor,
+                    Frame::DbSync {
+                        router_lsas,
+                        mc_states: sw.engine.export_sync(),
+                    },
+                );
+            }
+            if detector {
+                // Originate the one non-MC LSA for this event...
+                let links = sw
+                    .incident
+                    .iter()
+                    .map(|&(link, neighbor, cost, up)| LinkAdv {
+                        link,
+                        neighbor,
+                        cost,
+                        up,
+                    })
+                    .collect();
+                let lsa = RouterLsa {
+                    origin: sw.me,
+                    seq: sw.next_router_seq,
+                    links,
+                };
+                sw.next_router_seq += 1;
+                sw.lsdb.install(lsa.clone());
+                sw.refresh_image(step);
+                step.count(counters::ROUTER_FLOODS, 1);
+                sw.flood(step, DgmcPayload::Router(lsa));
+                // ...then the k MC LSAs for affected connections.
+                let actions = sw.engine.local_link_event(sw.me, neighbor);
+                sw.execute(step, actions);
+            }
+        })
+    }
+
+    /// The `Tc` computation timer for `mc` fired.
+    pub fn on_computation_done(
+        &mut self,
+        now: u64,
+        metrics: &mut MetricsRegistry,
+        mc: McId,
+    ) -> Vec<Output> {
+        self.step(now, metrics, |sw, step| {
+            let before = sw.spf_cache.stats();
+            let actions = sw.engine.on_computation_done(mc, &sw.image);
+            sw.record_spf_delta(step, before);
+            sw.execute(step, actions);
+        })
+    }
+
+    /// A local host injects data packet `packet_id` into `mc`.
+    pub fn on_send_data(
+        &mut self,
+        now: u64,
+        metrics: &mut MetricsRegistry,
+        mc: McId,
+        packet_id: u64,
+    ) -> Vec<Output> {
+        self.step(now, metrics, |sw, step| sw.inject_data(step, mc, packet_id))
+    }
+
+    /// Administrative failure (`up = false`) or revival. A failed switch
+    /// drops every other input; incident links go down with it and come
+    /// back with it (neighbours advertise and sync).
+    pub fn on_admin(&mut self, up: bool) -> Vec<Output> {
+        if self.failed == up {
+            self.failed = !up;
+            for entry in &mut self.incident {
+                entry.3 = up;
+            }
         }
-        if let Some(next) = self.routes.next_hop(contact) {
-            ctx.send(ActorId(next.0), self.config.per_hop, msg);
+        Vec::new()
+    }
+}
+
+/// A network switch running the D-GMC protocol over an LSR substrate: the
+/// DES driver of a [`SwitchCore`], which it dereferences to.
+#[derive(Debug)]
+pub struct DgmcSwitch {
+    core: SwitchCore,
+    per_hop: SimDuration,
+}
+
+impl DgmcSwitch {
+    /// Creates the switch warm-started on the ground-truth network `net`.
+    pub fn new(
+        me: NodeId,
+        net: &Network,
+        config: DgmcConfig,
+        algorithm: Rc<dyn McAlgorithm>,
+    ) -> DgmcSwitch {
+        Self::new_with_cache(me, net, config, algorithm, SpfCache::new())
+    }
+
+    /// [`new`](Self::new) with an explicit SPF cache, so the warm-start
+    /// routing computation already shares work with sibling switches.
+    pub fn new_with_cache(
+        me: NodeId,
+        net: &Network,
+        config: DgmcConfig,
+        algorithm: Rc<dyn McAlgorithm>,
+        spf_cache: SpfCache,
+    ) -> DgmcSwitch {
+        DgmcSwitch {
+            core: SwitchCore::new(me, net, config.tc.as_nanos(), algorithm, spf_cache),
+            per_hop: config.per_hop,
         }
     }
 
-    fn on_data(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, data: DataMsg) {
-        match data.kind {
-            DataKind::TreeFlood { via } => {
-                let d = DataMsg {
-                    kind: DataKind::TreeFlood { via },
-                    ..data
-                };
-                self.forward_tree(ctx, d, via);
-            }
-            DataKind::UnicastToContact { contact } => {
-                if contact == self.me {
-                    let d = DataMsg {
-                        kind: DataKind::TreeFlood { via: None },
-                        ..data
-                    };
-                    self.forward_tree(ctx, d, None);
-                } else if let Some(next) = self.routes.next_hop(contact) {
-                    ctx.send(ActorId(next.0), self.config.per_hop, SwitchMsg::Data(data));
-                }
-            }
-        }
+    /// Simulated instant of the switch's most recent topology install.
+    pub fn last_install(&self) -> SimTime {
+        SimTime::from_nanos(self.core.last_install)
+    }
+}
+
+impl Deref for DgmcSwitch {
+    type Target = SwitchCore;
+
+    fn deref(&self) -> &SwitchCore {
+        &self.core
+    }
+}
+
+impl DerefMut for DgmcSwitch {
+    fn deref_mut(&mut self) -> &mut SwitchCore {
+        &mut self.core
     }
 }
 
 impl Actor<SwitchMsg> for DgmcSwitch {
     fn handle(&mut self, ctx: &mut Ctx<'_, SwitchMsg>, env: Envelope<SwitchMsg>) {
-        if self.failed {
-            // A failed switch drops everything except its own revival.
-            if let SwitchMsg::NodeAdmin { up: true } = env.msg {
-                self.failed = false;
-                // Incident links come back with the node; neighbors
-                // advertise and sync (inject_node_event drives them).
-                for entry in &mut self.incident {
-                    entry.3 = true;
-                }
-            }
-            return;
-        }
-        match env.msg {
-            SwitchMsg::Packet { packet, via } => {
-                if !self.flooder.accept(packet.id) {
-                    ctx.counter(counters::DUPLICATES).incr();
-                    return;
-                }
-                self.relay(ctx, &packet, via);
-                match packet.payload {
-                    DgmcPayload::Router(lsa) => {
-                        if self.lsdb.install(lsa) {
-                            self.refresh_image(ctx);
-                        }
-                    }
-                    DgmcPayload::Mc(lsa) => {
-                        ctx.counter(counters::MC_LSAS).incr();
-                        let actions = self.engine.on_mc_lsa(lsa);
-                        self.execute(ctx, actions);
-                    }
-                }
+        let now = ctx.now().as_nanos();
+        let core = &mut self.core;
+        let mut outputs = match env.msg {
+            SwitchMsg::Frame(frame) => {
+                let from = env.from.expect("frames are sent by switches");
+                core.on_frame(now, ctx.metrics(), NodeId(from.0), frame)
             }
             SwitchMsg::HostJoin { mc, mc_type, role } => {
-                let actions = self.engine.local_join(mc, mc_type, role);
-                if !actions.is_empty() {
-                    ctx.counter(counters::MEMBER_EVENTS).incr();
-                    self.close_event_episode(ctx);
-                }
-                self.execute(ctx, actions);
+                core.on_join(now, ctx.metrics(), mc, mc_type, role)
             }
-            SwitchMsg::HostLeave { mc } => {
-                let actions = self.engine.local_leave(mc);
-                if !actions.is_empty() {
-                    ctx.counter(counters::MEMBER_EVENTS).incr();
-                    self.close_event_episode(ctx);
-                }
-                self.execute(ctx, actions);
-            }
+            SwitchMsg::HostLeave { mc } => core.on_leave(now, ctx.metrics(), mc),
             SwitchMsg::LinkEvent { link, up, detector } => {
-                if let Some(entry) = self.incident.iter_mut().find(|(l, ..)| *l == link) {
-                    entry.3 = up;
-                } else {
-                    panic!("link {link} is not incident to {}", self.me);
-                }
-                if up {
-                    // Database exchange toward the (possibly just revived)
-                    // far endpoint, as OSPF does when an adjacency forms.
-                    if let Some(neighbor) = self.neighbor_of(link) {
-                        let node_count =
-                            u32::try_from(self.lsdb.node_count()).expect("node ids fit u32");
-                        let router_lsas = (0..node_count)
-                            .filter_map(|i| self.lsdb.get(NodeId(i)).cloned())
-                            .collect();
-                        ctx.send(
-                            ActorId(neighbor.0),
-                            self.config.per_hop,
-                            SwitchMsg::DbSync {
-                                router_lsas,
-                                mc_states: self.engine.export_sync(),
-                            },
-                        );
-                    }
-                }
-                if detector {
-                    // Originate the one non-MC LSA for this event...
-                    let links = self
-                        .incident
-                        .iter()
-                        .map(|&(l, n, cost, up)| dgmc_lsr::lsa::LinkAdv {
-                            link: l,
-                            neighbor: n,
-                            cost,
-                            up,
-                        })
-                        .collect();
-                    let lsa = RouterLsa {
-                        origin: self.me,
-                        seq: self.next_router_seq,
-                        links,
-                    };
-                    self.next_router_seq += 1;
-                    self.lsdb.install(lsa.clone());
-                    self.refresh_image(ctx);
-                    ctx.counter(counters::ROUTER_FLOODS).incr();
-                    self.flood(ctx, DgmcPayload::Router(lsa), None);
-                    // ...then the k MC LSAs for affected connections.
-                    let neighbor = self.neighbor_of(link).expect("incident");
-                    let actions = self.engine.local_link_event(self.me, neighbor);
-                    self.execute(ctx, actions);
-                }
+                let Some(neighbor) = core.neighbor_of(link) else {
+                    panic!("link {link} is not incident to {}", core.id());
+                };
+                core.on_link_event(now, ctx.metrics(), neighbor, up, detector)
             }
-            SwitchMsg::ComputationDone { mc } => {
-                let before = self.spf_cache.stats();
-                let actions = self.engine.on_computation_done(mc, &self.image);
-                self.record_spf_delta(ctx, before);
-                self.execute(ctx, actions);
-            }
+            SwitchMsg::ComputationDone { mc } => core.on_computation_done(now, ctx.metrics(), mc),
             SwitchMsg::SendData { mc, packet_id } => {
-                self.inject_data(ctx, mc, packet_id);
+                core.on_send_data(now, ctx.metrics(), mc, packet_id)
             }
-            SwitchMsg::Data(data) => {
-                self.on_data(ctx, data);
-            }
-            SwitchMsg::NodeAdmin { up } => {
-                if !up {
-                    self.failed = true;
-                    for entry in &mut self.incident {
-                        entry.3 = false;
-                    }
+            SwitchMsg::NodeAdmin { up } => core.on_admin(up),
+        };
+        for output in outputs.drain(..) {
+            match output {
+                Output::Send { to, frame } => {
+                    ctx.send(ActorId(to.0), self.per_hop, SwitchMsg::Frame(frame));
                 }
-                // up while alive: nothing to do.
-            }
-            SwitchMsg::DbSync {
-                router_lsas,
-                mc_states,
-            } => {
-                let mut changed = false;
-                for lsa in router_lsas {
-                    changed |= self.lsdb.install(lsa);
-                }
-                if changed {
-                    self.refresh_image(ctx);
-                }
-                let actions = self.engine.import_sync(mc_states);
-                self.execute(ctx, actions);
+                Output::StartTimer { mc, after_nanos } => ctx.schedule_self(
+                    SimDuration::nanos(after_nanos),
+                    SwitchMsg::ComputationDone { mc },
+                ),
             }
         }
+        self.core.recycle(outputs);
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -769,10 +925,12 @@ impl Actor<SwitchMsg> for DgmcSwitch {
 /// short and deterministic (no addresses, no wall-clock).
 pub fn trace_label(msg: &SwitchMsg) -> String {
     match msg {
-        SwitchMsg::Packet { packet, .. } => match &packet.payload {
+        SwitchMsg::Frame(Frame::Flood(packet)) => match &packet.payload {
             DgmcPayload::Router(lsa) => format!("router-lsa sw{}", lsa.origin.0),
             DgmcPayload::Mc(lsa) => format!("mc-lsa {} sw{}", lsa.mc, lsa.source.0),
         },
+        SwitchMsg::Frame(Frame::DbSync { .. }) => "db-sync".to_owned(),
+        SwitchMsg::Frame(Frame::Data(data)) => format!("data {} #{}", data.mc, data.packet_id),
         SwitchMsg::HostJoin { mc, .. } => format!("join {mc}"),
         SwitchMsg::HostLeave { mc } => format!("leave {mc}"),
         SwitchMsg::LinkEvent { link, up, .. } => {
@@ -780,9 +938,7 @@ pub fn trace_label(msg: &SwitchMsg) -> String {
         }
         SwitchMsg::ComputationDone { mc } => format!("compute {mc}"),
         SwitchMsg::SendData { mc, packet_id } => format!("send-data {mc} #{packet_id}"),
-        SwitchMsg::Data(data) => format!("data {} #{}", data.mc, data.packet_id),
         SwitchMsg::NodeAdmin { up } => (if *up { "node-up" } else { "node-down" }).to_owned(),
-        SwitchMsg::DbSync { .. } => "db-sync".to_owned(),
     }
 }
 

@@ -1,11 +1,16 @@
-//! Focused tests of the simulated switch: counters, data-plane edge cases
-//! and configuration presets.
+//! Focused tests of the switch: counters, data-plane edge cases and
+//! configuration presets through the DES driver, and the hardening paths
+//! of the sans-IO [`SwitchCore`] driven directly, with no simulator.
 
-use dgmc_core::switch::{build_dgmc_sim, counters, DgmcConfig, DgmcSwitch, SwitchMsg};
+use dgmc_core::switch::{
+    build_dgmc_sim, counters, DataKind, DataMsg, DgmcConfig, DgmcSwitch, Frame, Output, SwitchCore,
+    SwitchMsg,
+};
 use dgmc_core::{McId, McType, Role};
 use dgmc_des::{ActorId, SimDuration, Simulation};
 use dgmc_mctree::SphStrategy;
-use dgmc_topology::{generate, NodeId};
+use dgmc_obs::MetricsRegistry;
+use dgmc_topology::{generate, NodeId, SpfCache};
 use std::rc::Rc;
 
 const MC: McId = McId(1);
@@ -186,4 +191,139 @@ fn data_between_installs_uses_latest_tree() {
     );
     let sender = sim.actor_as::<DgmcSwitch>(ActorId(0)).unwrap();
     assert_eq!(sender.delivered_copies(MC, 3), 1, "sender still a member");
+}
+
+const TC_NANOS: u64 = 300_000;
+
+/// A bare core for switch `me` on a path of `n` switches.
+fn core_on_path(n: usize, me: u32) -> SwitchCore {
+    SwitchCore::new(
+        NodeId(me),
+        &generate::path(n),
+        TC_NANOS,
+        Rc::new(SphStrategy::new()),
+        SpfCache::new(),
+    )
+}
+
+fn join(core: &mut SwitchCore, metrics: &mut MetricsRegistry, now: u64) -> Vec<Output> {
+    core.on_join(now, metrics, MC, McType::Symmetric, Role::SenderReceiver)
+}
+
+/// The MC LSA switch `at` floods toward `to` after a local join on a path
+/// of `n` switches.
+fn join_flood(n: usize, at: u32, to: u32) -> Frame {
+    let mut core = core_on_path(n, at);
+    let mut metrics = MetricsRegistry::new();
+    let timers = join(&mut core, &mut metrics, 0);
+    assert!(matches!(
+        timers.as_slice(),
+        [Output::StartTimer {
+            after_nanos: TC_NANOS,
+            ..
+        }]
+    ));
+    core.on_computation_done(TC_NANOS, &mut metrics, MC)
+        .into_iter()
+        .find_map(|out| match out {
+            Output::Send { to: dst, frame } if dst == NodeId(to) => Some(frame),
+            _ => None,
+        })
+        .expect("the proposal is flooded to the neighbour")
+}
+
+fn sends(outputs: &[Output]) -> Vec<NodeId> {
+    outputs
+        .iter()
+        .filter_map(|out| match out {
+            Output::Send { to, .. } => Some(*to),
+            Output::StartTimer { .. } => None,
+        })
+        .collect()
+}
+
+#[test]
+fn core_drops_and_counts_frames_from_non_neighbours() {
+    // Path 0-1-2-3: switch 1 neighbours 0 and 2, never 3.
+    let flood = join_flood(4, 2, 1);
+    let data = Frame::Data(DataMsg {
+        mc: MC,
+        packet_id: 1,
+        origin: NodeId(3),
+        kind: DataKind::TreeFlood { via: None },
+    });
+    let mut core = core_on_path(4, 1);
+    let mut metrics = MetricsRegistry::new();
+    for (from, frame) in [(3, flood.clone()), (3, data), (99, flood.clone())] {
+        assert!(core
+            .on_frame(1, &mut metrics, NodeId(from), frame)
+            .is_empty());
+    }
+    assert_eq!(metrics.counter_value(counters::UNKNOWN_SENDER), 3);
+    assert_eq!(metrics.counter_value(counters::MC_LSAS), 0);
+    assert_eq!(core.engine().mc_count(), 0, "the engine never saw the LSA");
+
+    // The same LSA from the real neighbour is accepted and relayed on.
+    let out = core.on_frame(2, &mut metrics, NodeId(2), flood);
+    assert_eq!(metrics.counter_value(counters::MC_LSAS), 1);
+    assert_eq!(metrics.counter_value(counters::UNKNOWN_SENDER), 3);
+    assert_eq!(sends(&out), vec![NodeId(0)]);
+}
+
+#[test]
+fn core_ignores_link_events_naming_an_unknown_neighbour() {
+    let mut core = core_on_path(4, 1);
+    let mut metrics = MetricsRegistry::new();
+    let digest = core.image().digest();
+    for stranger in [NodeId(3), NodeId(1), NodeId(99)] {
+        for (up, detector) in [(false, true), (true, true), (true, false)] {
+            assert!(core
+                .on_link_event(0, &mut metrics, stranger, up, detector)
+                .is_empty());
+        }
+    }
+    assert!(metrics.counters_map().is_empty(), "nothing counted");
+    assert_eq!(core.image().digest(), digest, "image untouched");
+
+    // A real neighbour's link going down is advertised to the other one.
+    let out = core.on_link_event(0, &mut metrics, NodeId(2), false, true);
+    assert_eq!(metrics.counter_value(counters::ROUTER_FLOODS), 1);
+    assert_eq!(sends(&out), vec![NodeId(0)]);
+    assert_ne!(core.image().digest(), digest);
+}
+
+/// One handler call on a core, given a valid frame to deliver.
+type Input = fn(&mut SwitchCore, &mut MetricsRegistry, &Frame) -> Vec<Output>;
+
+#[test]
+fn failed_core_drops_every_input_except_admin_up() {
+    let flood = join_flood(3, 0, 1);
+    let mut core = core_on_path(3, 1);
+    let mut metrics = MetricsRegistry::new();
+    assert!(core.on_admin(false).is_empty());
+    assert!(core.is_failed());
+    let inputs: [Input; 8] = [
+        |c, m, _| join(c, m, 1),
+        |c, m, _| c.on_leave(2, m, MC),
+        |c, m, flood| c.on_frame(3, m, NodeId(0), flood.clone()),
+        |c, m, _| c.on_link_event(4, m, NodeId(2), false, true),
+        |c, m, _| c.on_link_event(5, m, NodeId(2), true, false),
+        |c, m, _| c.on_computation_done(6, m, MC),
+        |c, m, _| c.on_send_data(7, m, MC, 1),
+        |c, _, _| c.on_admin(false),
+    ];
+    for input in inputs {
+        assert!(input(&mut core, &mut metrics, &flood).is_empty());
+        assert!(core.is_failed());
+    }
+    assert!(metrics.counters_map().is_empty(), "nothing counted");
+    assert_eq!(core.engine().mc_count(), 0);
+
+    // Revival brings the incident links back with the switch.
+    assert!(core.on_admin(true).is_empty());
+    assert!(!core.is_failed());
+    assert_eq!(join(&mut core, &mut metrics, 8).len(), 1, "the Tc timer");
+    let out = core.on_computation_done(8 + TC_NANOS, &mut metrics, MC);
+    assert_eq!(sends(&out), vec![NodeId(0), NodeId(2)]);
+    assert_eq!(metrics.counter_value(counters::MEMBER_EVENTS), 1);
 }

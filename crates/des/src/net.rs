@@ -71,8 +71,9 @@ pub trait NetModel {
     ) -> Vec<Delivery>;
 }
 
-/// Fault probabilities and delay noise applied to one (directed) link.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Fault probabilities and delay noise applied to one (directed) link; the
+/// default is [`LinkFaults::none`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LinkFaults {
     /// Per-attempt loss probability, recovered by link-level retransmission:
     /// the message arrives [`FaultPlan::retransmit_after`] later per lost
@@ -99,17 +100,45 @@ impl LinkFaults {
         }
     }
 
-    fn assert_valid(&self) {
+    /// Draws the fate of one message on this link: `None` on hard loss.
+    ///
+    /// The draw order — hard loss, capped geometric retries, jitter,
+    /// duplicate, the duplicate's jitter — fixes what a seed means, so every
+    /// fault model that calls this replays the same schedule.
+    pub fn draw(
+        &self,
+        rng: &mut StdRng,
+        retransmit_after: SimDuration,
+        max_retries: u32,
+    ) -> Option<Fate> {
+        if self.hard_loss > 0.0 && rng.gen_bool(self.hard_loss) {
+            return None;
+        }
+        let mut retries = 0u32;
+        while self.loss > 0.0 && retries < max_retries && rng.gen_bool(self.loss) {
+            retries += 1;
+        }
+        let extra = jitter(rng, self.jitter) + retransmit_after * u64::from(retries);
+        let duplicate = (self.duplicate > 0.0 && rng.gen_bool(self.duplicate))
+            .then(|| jitter(rng, self.jitter));
+        Some(Fate {
+            retries,
+            extra,
+            duplicate,
+        })
+    }
+
+    fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("loss", self.loss),
             ("hard_loss", self.hard_loss),
             ("duplicate", self.duplicate),
         ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "fault probability {name}={p} out of [0, 1]"
-            );
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("fault probability {name}={p} out of [0, 1]"));
+            }
         }
+        Ok(())
     }
 
     fn to_json(self) -> JsonValue {
@@ -120,11 +149,72 @@ impl LinkFaults {
             ("jitter_ns", JsonValue::U64(self.jitter.as_nanos())),
         ])
     }
+
+    fn from_json(v: &JsonValue) -> Result<LinkFaults, String> {
+        Ok(LinkFaults {
+            loss: read(v, "loss", Some(0.0), prob_of)?,
+            hard_loss: read(v, "hard_loss", Some(0.0), prob_of)?,
+            duplicate: read(v, "duplicate", Some(0.0), prob_of)?,
+            jitter: read(v, "jitter_ns", Some(SimDuration::ZERO), nanos_of)?,
+        })
+    }
 }
 
-impl Default for LinkFaults {
-    fn default() -> Self {
-        LinkFaults::none()
+/// The fate of one message, drawn by [`LinkFaults::draw`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fate {
+    /// Lost attempts recovered by link-level retransmission.
+    pub retries: u32,
+    /// Delay of the message beyond its fault-free delivery: jitter plus one
+    /// retransmission round per retry.
+    pub extra: SimDuration,
+    /// Delay of an injected extra copy beyond fault-free delivery, if any.
+    pub duplicate: Option<SimDuration>,
+}
+
+/// A uniform delay in `[0, max]` (no draw when `max` is zero).
+fn jitter(rng: &mut StdRng, max: SimDuration) -> SimDuration {
+    if max.is_zero() {
+        SimDuration::ZERO
+    } else {
+        SimDuration::nanos(rng.gen_range(0..=max.as_nanos()))
+    }
+}
+
+/// Reads `key` of object `v` with `parse`; `default` stands in when the key
+/// is absent (`None` makes it required).
+fn read<'a, T>(
+    v: &'a JsonValue,
+    key: &str,
+    default: Option<T>,
+    parse: fn(&'a JsonValue) -> Option<T>,
+) -> Result<T, String> {
+    match v.get(key) {
+        None => default.ok_or_else(|| format!("fault plan: missing `{key}`")),
+        Some(x) => parse(x).ok_or_else(|| format!("fault plan: bad `{key}`: {}", x.to_json())),
+    }
+}
+
+fn u64_of(v: &JsonValue) -> Option<u64> {
+    match v {
+        JsonValue::U64(n) => Some(*n),
+        _ => None,
+    }
+}
+
+fn u32_of(v: &JsonValue) -> Option<u32> {
+    u64_of(v).and_then(|n| u32::try_from(n).ok())
+}
+
+fn nanos_of(v: &JsonValue) -> Option<SimDuration> {
+    u64_of(v).map(SimDuration::nanos)
+}
+
+fn prob_of(v: &JsonValue) -> Option<f64> {
+    match v {
+        JsonValue::U64(n) => Some(*n as f64),
+        JsonValue::F64(f) => Some(*f),
+        _ => None,
     }
 }
 
@@ -251,17 +341,85 @@ impl FaultPlan {
         ])
     }
 
-    fn assert_valid(&self) {
-        self.default.assert_valid();
+    /// Parses the JSON [`to_json`](Self::to_json) writes (the repro-bundle
+    /// and `dgmc-node --fault-plan` format). Absent `overrides`, `flaps` and
+    /// `outages` mean none, absent probabilities and jitter mean zero, and
+    /// absent `retransmit_after_ns`/`max_retries` take the
+    /// [`FaultPlan::none`] values.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, a missing `default`, a probability outside `[0, 1]`,
+    /// an empty flap or outage window, or an `a`/`b`/`node`/`max_retries`
+    /// value that does not fit `u32`. Never panics.
+    pub fn from_json(text: &str) -> Result<FaultPlan, String> {
+        let root = JsonValue::parse(text)?;
+        let none = FaultPlan::none();
+        let default = root
+            .get("default")
+            .ok_or_else(|| "fault plan: missing `default`".to_owned())
+            .and_then(LinkFaults::from_json)?;
+        let mut overrides = BTreeMap::new();
+        let list = |key| read(&root, key, Some(&[][..]), JsonValue::as_array);
+        for entry in list("overrides")? {
+            let a = read(entry, "a", None, u32_of)?;
+            let b = read(entry, "b", None, u32_of)?;
+            let faults = entry
+                .get("faults")
+                .ok_or_else(|| "fault plan: override missing `faults`".to_owned())
+                .and_then(LinkFaults::from_json)?;
+            overrides.insert((a.min(b), a.max(b)), faults);
+        }
+        let flaps = list("flaps")?
+            .iter()
+            .map(|fl| {
+                Ok(LinkFlap {
+                    a: read(fl, "a", None, u32_of)?,
+                    b: read(fl, "b", None, u32_of)?,
+                    down_at: read(fl, "down_at_ns", None, nanos_of)?,
+                    up_at: read(fl, "up_at_ns", None, nanos_of)?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        let outages = list("outages")?
+            .iter()
+            .map(|o| {
+                Ok(NodeOutage {
+                    node: read(o, "node", None, u32_of)?,
+                    down_at: read(o, "down_at_ns", None, nanos_of)?,
+                    up_at: read(o, "up_at_ns", None, nanos_of)?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        let plan = FaultPlan {
+            default,
+            overrides,
+            retransmit_after: read(
+                &root,
+                "retransmit_after_ns",
+                Some(none.retransmit_after),
+                nanos_of,
+            )?,
+            max_retries: read(&root, "max_retries", Some(none.max_retries), u32_of)?,
+            flaps,
+            outages,
+        };
+        plan.validate()?;
+        Ok(plan)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        self.default.validate()?;
         for f in self.overrides.values() {
-            f.assert_valid();
+            f.validate()?;
         }
-        for fl in &self.flaps {
-            assert!(fl.down_at < fl.up_at, "flap must come back up after down");
+        if self.flaps.iter().any(|fl| fl.down_at >= fl.up_at) {
+            return Err("flap must come back up after down".to_owned());
         }
-        for o in &self.outages {
-            assert!(o.down_at < o.up_at, "outage must end after it starts");
+        if self.outages.iter().any(|o| o.down_at >= o.up_at) {
+            return Err("outage must end after it starts".to_owned());
         }
+        Ok(())
     }
 }
 
@@ -294,24 +452,13 @@ impl FaultyNet {
     /// Panics if any plan probability is outside `[0, 1]` or any flap/outage
     /// window is empty.
     pub fn new(plan: FaultPlan, seed: u64) -> FaultyNet {
-        plan.assert_valid();
+        if let Err(e) = plan.validate() {
+            panic!("{e}");
+        }
         FaultyNet {
             plan,
             rng: StdRng::seed_from_u64(seed),
             next_free: BTreeMap::new(),
-        }
-    }
-
-    /// The plan this model executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    fn jitter(&mut self, max: SimDuration) -> SimDuration {
-        if max.is_zero() {
-            SimDuration::ZERO
-        } else {
-            SimDuration::nanos(self.rng.gen_range(0..=max.as_nanos()))
         }
     }
 
@@ -332,29 +479,24 @@ impl NetModel for FaultyNet {
         now: SimTime,
         base: SimDuration,
     ) -> Vec<Delivery> {
-        let faults = self.plan.faults_between(from, to);
-        let mut out = Vec::with_capacity(1);
-        if faults.hard_loss > 0.0 && self.rng.gen_bool(faults.hard_loss) {
-            return out;
-        }
-        let mut retries = 0u32;
-        while faults.loss > 0.0 && retries < self.plan.max_retries && self.rng.gen_bool(faults.loss)
-        {
-            retries += 1;
-        }
-        let delay = base + self.jitter(faults.jitter) + self.plan.retransmit_after * retries as u64;
-        let at = self.clamp(from, to, now + delay);
-        out.push(Delivery {
+        let Some(fate) = self.plan.faults_between(from, to).draw(
+            &mut self.rng,
+            self.plan.retransmit_after,
+            self.plan.max_retries,
+        ) else {
+            return Vec::new();
+        };
+        let at = self.clamp(from, to, now + base + fate.extra);
+        let mut out = vec![Delivery {
             delay: at - now,
-            kind: if retries > 0 {
-                DeliveryKind::Retransmit(retries)
+            kind: if fate.retries > 0 {
+                DeliveryKind::Retransmit(fate.retries)
             } else {
                 DeliveryKind::Original
             },
-        });
-        if faults.duplicate > 0.0 && self.rng.gen_bool(faults.duplicate) {
-            let extra = base + self.jitter(faults.jitter);
-            let dup_at = self.clamp(from, to, now + extra);
+        }];
+        if let Some(extra) = fate.duplicate {
+            let dup_at = self.clamp(from, to, now + base + extra);
             out.push(Delivery {
                 delay: dup_at - now,
                 kind: DeliveryKind::Duplicate,

@@ -28,11 +28,12 @@
 //! treat the control socket as synchronous request/response.
 
 use crate::clock::{TickClock, Timer, Timers};
-use crate::fault::{NodeFaultPlan, SendShim};
+use crate::fault::SendShim;
 use crate::frame::{decode_datagram, encode_datagram, frame_is_sane};
 use crate::proto::{node_counters, NodeCore, Output};
 use crate::snapshot::engine_snapshot;
 use dgmc_core::McId;
+use dgmc_des::net::FaultPlan;
 use dgmc_mctree::{McType, Role, SphStrategy};
 use dgmc_obs::{DecisionLogHandle, JsonValue};
 use dgmc_topology::{NetworkBuilder, NodeId};
@@ -58,7 +59,7 @@ pub struct NodeOptions {
     /// Directory for end-of-run artifacts (decision log, metrics, state).
     pub out_dir: PathBuf,
     /// Loss shim plan (`None` = transparent).
-    pub fault_plan: Option<NodeFaultPlan>,
+    pub fault_plan: Option<FaultPlan>,
     /// Loss shim seed.
     pub seed: u64,
     /// Decision log capacity (events kept in memory).
@@ -105,7 +106,6 @@ struct Driver {
     /// Shim-delayed datagrams waiting on a `Resend` timer.
     pending: HashMap<u64, (SocketAddr, Vec<u8>)>,
     next_resend: u64,
-    rx: u64,
     tx: u64,
     out_dir: PathBuf,
     id: u32,
@@ -116,7 +116,8 @@ struct Driver {
 /// # Errors
 ///
 /// Propagates socket and filesystem errors; protocol-level junk (undecodable
-/// datagrams, unknown control commands) is counted and survived.
+/// datagrams, unknown control commands) and refused datagram sends are
+/// counted and survived.
 pub fn run_node(opts: NodeOptions) -> std::io::Result<()> {
     let mut builder = NetworkBuilder::new(opts.nodes as usize);
     for &(a, b, cost) in &opts.links {
@@ -138,7 +139,7 @@ pub fn run_node(opts: NodeOptions) -> std::io::Result<()> {
 
     let mut driver = Driver {
         shim: SendShim::new(
-            opts.fault_plan.clone().unwrap_or_else(NodeFaultPlan::none),
+            opts.fault_plan.clone().unwrap_or_default(),
             opts.seed,
             opts.id,
         ),
@@ -150,7 +151,6 @@ pub fn run_node(opts: NodeOptions) -> std::io::Result<()> {
         peers: HashMap::new(),
         pending: HashMap::new(),
         next_resend: 0,
-        rx: 0,
         tx: 0,
         out_dir: opts.out_dir.clone(),
         id: opts.id,
@@ -158,7 +158,7 @@ pub fn run_node(opts: NodeOptions) -> std::io::Result<()> {
     let mut conns: Vec<ControlConn> = Vec::new();
     let mut buf = vec![0u8; 65_536];
     loop {
-        driver.fire_due_timers()?;
+        driver.fire_due_timers();
 
         // New control connections.
         loop {
@@ -201,7 +201,7 @@ pub fn run_node(opts: NodeOptions) -> std::io::Result<()> {
             .clamp(MIN_WAIT, POLL);
         driver.udp.set_read_timeout(Some(wait))?;
         match driver.udp.recv_from(&mut buf) {
-            Ok((len, _src)) => driver.on_datagram(&buf[..len])?,
+            Ok((len, _src)) => driver.on_datagram(&buf[..len]),
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(e) => return Err(e),
         }
@@ -239,53 +239,51 @@ impl Driver {
         self.clock.now_nanos()
     }
 
-    fn fire_due_timers(&mut self) -> std::io::Result<()> {
+    fn fire_due_timers(&mut self) {
         let now = self.now();
         for timer in self.timers.pop_due(now) {
             match timer {
                 Timer::Compute(mc) => {
                     let outs = self.core.on_computation_done(self.now(), mc);
-                    self.apply(outs)?;
+                    self.apply(outs);
                 }
                 Timer::Resend(seq) => {
                     if let Some((addr, bytes)) = self.pending.remove(&seq) {
-                        self.udp.send_to(&bytes, addr)?;
-                        self.tx += 1;
+                        self.send_datagram(&bytes, addr);
                     }
                 }
             }
         }
-        Ok(())
     }
 
-    fn on_datagram(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.rx += 1;
-        *self
-            .core
-            .metrics_mut()
-            .counter_slot(node_counters::RX_DATAGRAMS) += 1;
-        let (from, frame) = match decode_datagram(bytes) {
-            Ok(decoded) => decoded,
-            Err(_) => {
-                *self
-                    .core
-                    .metrics_mut()
-                    .counter_slot(node_counters::DECODE_ERRORS) += 1;
-                return Ok(());
-            }
+    fn count(&mut self, name: &str) {
+        *self.core.metrics_mut().counter_slot(name) += 1;
+    }
+
+    /// Puts one datagram on the socket. A refused send (e.g. `EMSGSIZE`)
+    /// is counted under `node.send_errors`; it must not end the node.
+    fn send_datagram(&mut self, bytes: &[u8], addr: SocketAddr) {
+        match self.udp.send_to(bytes, addr) {
+            Ok(_) => self.tx += 1,
+            Err(_) => self.count(node_counters::SEND_ERRORS),
+        }
+    }
+
+    fn on_datagram(&mut self, bytes: &[u8]) {
+        self.count(node_counters::RX_DATAGRAMS);
+        let Ok((from, frame)) = decode_datagram(bytes) else {
+            self.count(node_counters::DECODE_ERRORS);
+            return;
         };
-        if !frame_is_sane(from, &frame, self.core.width()) {
-            *self
-                .core
-                .metrics_mut()
-                .counter_slot(node_counters::INSANE_FRAMES) += 1;
-            return Ok(());
+        if !frame_is_sane(from, &frame, self.core.image().len()) {
+            self.count(node_counters::INSANE_FRAMES);
+            return;
         }
         let outs = self.core.on_frame(self.now(), from, frame);
-        self.apply(outs)
+        self.apply(outs);
     }
 
-    fn apply(&mut self, outputs: Vec<Output>) -> std::io::Result<()> {
+    fn apply(&mut self, outputs: Vec<Output>) {
         for output in outputs {
             match output {
                 Output::StartTimer { mc, after_nanos } => {
@@ -299,35 +297,24 @@ impl Driver {
                     let bytes = encode_datagram(NodeId(self.id), &frame);
                     let copies = self.shim.fate(to.0);
                     if copies.is_empty() {
-                        *self
-                            .core
-                            .metrics_mut()
-                            .counter_slot(node_counters::SHIM_DROPS) += 1;
+                        self.count(node_counters::SHIM_DROPS);
                         continue;
                     }
                     for delay in copies {
                         if delay == 0 {
-                            self.udp.send_to(&bytes, addr)?;
-                            self.tx += 1;
+                            self.send_datagram(&bytes, addr);
                         } else {
-                            *self
-                                .core
-                                .metrics_mut()
-                                .counter_slot(node_counters::SHIM_RETRANSMITS) += 1;
+                            self.count(node_counters::SHIM_RETRANSMITS);
                             let seq = self.next_resend;
                             self.next_resend += 1;
                             self.pending.insert(seq, (addr, bytes.clone()));
                             self.timers.arm(self.now() + delay, Timer::Resend(seq));
                         }
                     }
-                    *self
-                        .core
-                        .metrics_mut()
-                        .counter_slot(node_counters::TX_DATAGRAMS) += 1;
+                    self.count(node_counters::TX_DATAGRAMS);
                 }
             }
         }
-        Ok(())
     }
 
     fn state_json(&self) -> String {
@@ -387,7 +374,7 @@ impl Driver {
             ["join", mc, rest @ ..] => match parse_join(mc, rest) {
                 Ok((mc, mc_type, role)) => {
                     let outs = self.core.on_join(self.now(), mc, mc_type, role);
-                    self.apply(outs)?;
+                    self.apply(outs);
                     "ok".to_owned()
                 }
                 Err(e) => format!("err {e}"),
@@ -395,7 +382,7 @@ impl Driver {
             ["leave", mc] => match parse_mc(mc) {
                 Ok(mc) => {
                     let outs = self.core.on_leave(self.now(), mc);
-                    self.apply(outs)?;
+                    self.apply(outs);
                     "ok".to_owned()
                 }
                 Err(e) => format!("err {e}"),
@@ -403,15 +390,15 @@ impl Driver {
             ["link", a, b, state, detector] => match parse_link(self.id, a, b, state, detector) {
                 Ok((neighbor, up, detector)) => {
                     let outs = self.core.on_link_event(self.now(), neighbor, up, detector);
-                    self.apply(outs)?;
+                    self.apply(outs);
                     "ok".to_owned()
                 }
                 Err(e) => format!("err {e}"),
             },
             ["admin", state] => match parse_up_down(state) {
                 Ok(up) => {
-                    let outs = self.core.on_admin(self.now(), up);
-                    self.apply(outs)?;
+                    let outs = self.core.on_admin(up);
+                    self.apply(outs);
                     "ok".to_owned()
                 }
                 Err(e) => format!("err {e}"),
@@ -419,19 +406,21 @@ impl Driver {
             ["send", mc, pid] => match (parse_mc(mc), pid.parse::<u64>()) {
                 (Ok(mc), Ok(pid)) => {
                     let outs = self.core.on_send_data(self.now(), mc, pid);
-                    self.apply(outs)?;
+                    self.apply(outs);
                     "ok".to_owned()
                 }
                 _ => format!("err bad send arguments {mc:?} {pid:?}"),
             },
             ["status"] => format!(
                 "quiet={} timers={} rx={} tx={} log={} mcs={}",
-                u8::from(self.core.quiet()),
+                u8::from(self.core.engine().is_quiet()),
                 self.timers.len(),
-                self.rx,
+                self.core
+                    .metrics()
+                    .counter_value(node_counters::RX_DATAGRAMS),
                 self.tx,
                 self.log.borrow().len(),
-                self.core.mc_count(),
+                self.core.engine().mc_count(),
             ),
             ["state"] => self.state_json(),
             ["metrics"] => self.core.metrics().to_json().to_json(),

@@ -1,170 +1,25 @@
-//! A `FaultyNet`-equivalent loss shim for the UDP send path.
+//! The DES fault model on the UDP send path.
 //!
 //! The DES injects loss through [`dgmc_des::net::FaultyNet`]; real sockets
-//! need the same treatment to test loss tolerance end to end. This module
-//! parses the PR-2 fault-plan JSON format (the exact output of
-//! [`dgmc_des::net::FaultPlan::to_json`], as written into repro bundles)
-//! and applies it on a node's send path with the same semantics:
-//!
-//! * `hard_loss` — the datagram is dropped for good;
-//! * `loss` — a geometric number of link-level retransmission rounds, each
-//!   adding `retransmit_after_ns`, capped at `max_retries`; the datagram
-//!   always arrives eventually (recovered loss);
-//! * `duplicate` — one extra copy with its own jitter;
-//! * `jitter_ns` — uniform extra delay on every copy.
-//!
-//! The shim is seeded per node, so a mesh run is reproducible from
-//! `(plan, seed)` exactly like a DES run. `flaps`/`outages` in the plan are
-//! scenario-harness concerns and are parsed but ignored here.
+//! need the same treatment to test loss tolerance end to end. The shim runs
+//! the same [`FaultPlan`] (parsed by [`FaultPlan::from_json`] from the
+//! repro-bundle JSON format) through the same draw,
+//! [`dgmc_des::LinkFaults::draw`], so each datagram meets a DES fate: hard
+//! loss drops it, recovered loss delays it by capped retransmission rounds,
+//! and duplication and jitter add a copy and delay. The shim is seeded per
+//! node, so a mesh run is reproducible from `(plan, seed)` exactly like a
+//! DES run. `flaps`/`outages` in the plan are scenario-harness concerns and
+//! are ignored here.
 
+use dgmc_des::net::FaultPlan;
+use dgmc_des::{ActorId, SimDuration};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
-
-use dgmc_obs::JsonValue;
-
-/// Per-directed-link fault knobs (the wire-format mirror of the DES
-/// `LinkFaults`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Faults {
-    /// Per-attempt recovered-loss probability.
-    pub loss: f64,
-    /// Unrecovered drop probability.
-    pub hard_loss: f64,
-    /// Probability of one extra delivered copy.
-    pub duplicate: f64,
-    /// Maximum uniform extra delay per copy, nanoseconds.
-    pub jitter_ns: u64,
-}
-
-impl Faults {
-    /// No faults at all.
-    pub fn none() -> Faults {
-        Faults {
-            loss: 0.0,
-            hard_loss: 0.0,
-            duplicate: 0.0,
-            jitter_ns: 0,
-        }
-    }
-}
-
-/// A parsed fault plan, reduced to what the send path needs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeFaultPlan {
-    /// Faults on every pair without an override.
-    pub default: Faults,
-    /// Per-pair overrides keyed by `(min(a, b), max(a, b))`.
-    pub overrides: BTreeMap<(u32, u32), Faults>,
-    /// Extra delay of one recovered retransmission round, nanoseconds.
-    pub retransmit_after_ns: u64,
-    /// Cap on recovered rounds per datagram.
-    pub max_retries: u32,
-}
-
-impl NodeFaultPlan {
-    /// A plan that injects nothing.
-    pub fn none() -> NodeFaultPlan {
-        NodeFaultPlan {
-            default: Faults::none(),
-            overrides: BTreeMap::new(),
-            retransmit_after_ns: 20_000,
-            max_retries: 5,
-        }
-    }
-
-    /// Parses the PR-2 fault-plan JSON format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description on malformed JSON, missing required keys or
-    /// out-of-range probabilities.
-    pub fn from_json(text: &str) -> Result<NodeFaultPlan, String> {
-        let root = JsonValue::parse(text)?;
-        let default = parse_faults(
-            root.get("default")
-                .ok_or_else(|| "fault plan: missing `default`".to_owned())?,
-        )?;
-        let mut overrides = BTreeMap::new();
-        if let Some(entries) = root.get("overrides").and_then(JsonValue::as_array) {
-            for entry in entries {
-                let a = get_u64(entry, "a")? as u32;
-                let b = get_u64(entry, "b")? as u32;
-                let faults = parse_faults(
-                    entry
-                        .get("faults")
-                        .ok_or_else(|| "fault plan: override missing `faults`".to_owned())?,
-                )?;
-                overrides.insert((a.min(b), a.max(b)), faults);
-            }
-        }
-        let retransmit_after_ns = root
-            .get("retransmit_after_ns")
-            .map(as_u64)
-            .transpose()?
-            .unwrap_or(20_000);
-        let max_retries = root
-            .get("max_retries")
-            .map(as_u64)
-            .transpose()?
-            .unwrap_or(5) as u32;
-        Ok(NodeFaultPlan {
-            default,
-            overrides,
-            retransmit_after_ns,
-            max_retries,
-        })
-    }
-
-    /// The faults applied between `from` and `to` (direction-insensitive,
-    /// like the DES).
-    pub fn faults_between(&self, from: u32, to: u32) -> Faults {
-        let key = (from.min(to), from.max(to));
-        self.overrides.get(&key).copied().unwrap_or(self.default)
-    }
-}
-
-fn get_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .ok_or_else(|| format!("fault plan: missing `{key}`"))
-        .and_then(as_u64)
-}
-
-fn as_u64(v: &JsonValue) -> Result<u64, String> {
-    match v {
-        JsonValue::U64(n) => Ok(*n),
-        other => Err(format!("fault plan: expected integer, got {other:?}")),
-    }
-}
-
-fn as_f64(v: &JsonValue) -> Result<f64, String> {
-    match v {
-        JsonValue::U64(n) => Ok(*n as f64),
-        JsonValue::F64(f) => Ok(*f),
-        other => Err(format!("fault plan: expected number, got {other:?}")),
-    }
-}
-
-fn parse_faults(v: &JsonValue) -> Result<Faults, String> {
-    let prob = |key: &str| -> Result<f64, String> {
-        let p = v.get(key).map(as_f64).transpose()?.unwrap_or(0.0);
-        if !(0.0..=1.0).contains(&p) {
-            return Err(format!("fault plan: `{key}` = {p} outside [0, 1]"));
-        }
-        Ok(p)
-    };
-    Ok(Faults {
-        loss: prob("loss")?,
-        hard_loss: prob("hard_loss")?,
-        duplicate: prob("duplicate")?,
-        jitter_ns: v.get("jitter_ns").map(as_u64).transpose()?.unwrap_or(0),
-    })
-}
+use rand::SeedableRng;
 
 /// The send-path shim: decides the fate of each outgoing datagram.
 #[derive(Debug)]
 pub struct SendShim {
-    plan: NodeFaultPlan,
+    plan: FaultPlan,
     rng: StdRng,
     me: u32,
 }
@@ -172,7 +27,7 @@ pub struct SendShim {
 impl SendShim {
     /// Creates the shim for node `me`; the fault schedule is a pure
     /// function of `(plan, seed, me)`.
-    pub fn new(plan: NodeFaultPlan, seed: u64, me: u32) -> SendShim {
+    pub fn new(plan: FaultPlan, seed: u64, me: u32) -> SendShim {
         // Decorrelate per-node streams without losing reproducibility.
         let node_seed = seed ^ u64::from(me).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         SendShim {
@@ -182,47 +37,30 @@ impl SendShim {
         }
     }
 
-    /// `true` when the plan can never perturb anything (fast path).
-    pub fn is_transparent(&self) -> bool {
-        self.plan.default == Faults::none() && self.plan.overrides.is_empty()
-    }
-
-    fn jitter(&mut self, max_ns: u64) -> u64 {
-        if max_ns == 0 {
-            0
-        } else {
-            self.rng.gen_range(0..=max_ns)
-        }
-    }
-
     /// Decides the fate of one datagram toward `to`: the extra send delay
     /// in nanoseconds of each copy to put on the wire. Empty means hard
     /// loss; `0` means send immediately; larger values become driver
     /// retransmission timers (recovered loss / jitter / duplicates).
     pub fn fate(&mut self, to: u32) -> Vec<u64> {
-        let faults = self.plan.faults_between(self.me, to);
-        let mut copies = Vec::with_capacity(1);
-        if faults.hard_loss > 0.0 && self.rng.gen_bool(faults.hard_loss) {
-            return copies;
-        }
-        let mut retries = 0u32;
-        while faults.loss > 0.0 && retries < self.plan.max_retries && self.rng.gen_bool(faults.loss)
-        {
-            retries += 1;
-        }
-        copies.push(
-            self.jitter(faults.jitter_ns) + self.plan.retransmit_after_ns * u64::from(retries),
-        );
-        if faults.duplicate > 0.0 && self.rng.gen_bool(faults.duplicate) {
-            copies.push(self.jitter(faults.jitter_ns));
-        }
-        copies
+        let faults = self.plan.faults_between(ActorId(self.me), ActorId(to));
+        let Some(fate) = faults.draw(
+            &mut self.rng,
+            self.plan.retransmit_after,
+            self.plan.max_retries,
+        ) else {
+            return Vec::new();
+        };
+        std::iter::once(fate.extra)
+            .chain(fate.duplicate)
+            .map(SimDuration::as_nanos)
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dgmc_des::LinkFaults;
 
     const PLAN: &str = r#"{
         "default": {"loss": 0.25, "hard_loss": 0.0, "duplicate": 0.1, "jitter_ns": 500},
@@ -235,38 +73,42 @@ mod tests {
         "outages": []
     }"#;
 
+    fn between(plan: &FaultPlan, a: u32, b: u32) -> LinkFaults {
+        plan.faults_between(ActorId(a), ActorId(b))
+    }
+
     #[test]
     fn parses_the_des_plan_format() {
-        let plan = NodeFaultPlan::from_json(PLAN).unwrap();
+        let plan = FaultPlan::from_json(PLAN).unwrap();
         assert_eq!(plan.default.loss, 0.25);
-        assert_eq!(plan.retransmit_after_ns, 20_000);
+        assert_eq!(plan.retransmit_after, SimDuration::micros(20));
         assert_eq!(plan.max_retries, 5);
-        assert_eq!(plan.faults_between(1, 0).hard_loss, 1.0);
-        assert_eq!(plan.faults_between(0, 1).hard_loss, 1.0, "unordered key");
-        assert_eq!(plan.faults_between(0, 2).loss, 0.25);
+        assert_eq!(between(&plan, 1, 0).hard_loss, 1.0);
+        assert_eq!(between(&plan, 0, 1).hard_loss, 1.0, "unordered key");
+        assert_eq!(between(&plan, 0, 2).loss, 0.25);
     }
 
     #[test]
     fn rejects_bad_probability() {
         let text = r#"{"default": {"loss": 1.5}}"#;
-        assert!(NodeFaultPlan::from_json(text).is_err());
+        assert!(FaultPlan::from_json(text).is_err());
     }
 
     #[test]
     fn hard_loss_drops_recovered_loss_delays() {
-        let mut plan = NodeFaultPlan::none();
+        let mut plan = FaultPlan::none();
         plan.overrides.insert(
             (0, 1),
-            Faults {
+            LinkFaults {
                 hard_loss: 1.0,
-                ..Faults::none()
+                ..LinkFaults::none()
             },
         );
         plan.overrides.insert(
             (0, 2),
-            Faults {
+            LinkFaults {
                 loss: 1.0,
-                ..Faults::none()
+                ..LinkFaults::none()
             },
         );
         let mut shim = SendShim::new(plan, 7, 0);
@@ -278,7 +120,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_fate_stream() {
-        let plan = NodeFaultPlan::from_json(PLAN).unwrap();
+        let plan = FaultPlan::from_json(PLAN).unwrap();
         let mut a = SendShim::new(plan.clone(), 42, 3);
         let mut b = SendShim::new(plan, 42, 3);
         for to in [0u32, 1, 2, 4, 0, 2] {
@@ -287,9 +129,29 @@ mod tests {
     }
 
     #[test]
+    fn shim_and_faulty_net_draw_the_same_fates() {
+        use dgmc_des::net::{FaultyNet, NetModel};
+        use dgmc_des::SimTime;
+        let plan = FaultPlan::from_json(PLAN).unwrap();
+        // Node 0 seeds its stream with the plain seed, like the DES model.
+        let mut shim = SendShim::new(plan.clone(), 9, 0);
+        let mut net = FaultyNet::new(plan, 9);
+        for i in 0..200u64 {
+            let to = [1u32, 2, 3][(i % 3) as usize];
+            // Sends a second apart never meet the DES FIFO clamp.
+            let now = SimTime::from_nanos(i * 1_000_000_000);
+            let des = net.route(ActorId(0), ActorId(to), now, SimDuration::ZERO);
+            let node = shim.fate(to);
+            assert_eq!(des.len(), node.len(), "send {i}");
+            if let (Some(d), Some(&n)) = (des.first(), node.first()) {
+                assert_eq!(d.delay.as_nanos(), n, "send {i}");
+            }
+        }
+    }
+
+    #[test]
     fn transparent_plan_sends_one_immediate_copy() {
-        let mut shim = SendShim::new(NodeFaultPlan::none(), 1, 0);
-        assert!(shim.is_transparent());
+        let mut shim = SendShim::new(FaultPlan::none(), 1, 0);
         assert_eq!(shim.fate(1), vec![0]);
     }
 }

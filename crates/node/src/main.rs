@@ -10,8 +10,8 @@
 //! `ready udp=… ctl=…` handshake on stdout and serves until `quit`. See
 //! `dgmc_node::driver` for the control protocol.
 
+use dgmc_des::net::FaultPlan;
 use dgmc_node::driver::{run_node, NodeOptions};
-use dgmc_node::fault::NodeFaultPlan;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -81,7 +81,7 @@ fn main() -> ExitCode {
                     let path = value("--fault-plan")?;
                     let text = std::fs::read_to_string(&path)
                         .map_err(|e| format!("cannot read {path}: {e}"))?;
-                    fault_plan = Some(NodeFaultPlan::from_json(&text)?);
+                    fault_plan = Some(FaultPlan::from_json(&text)?);
                 }
                 "--seed" => {
                     seed = value("--seed")?

@@ -1,31 +1,28 @@
-//! The sans-IO protocol core of a real-socket D-GMC node.
+//! The node's protocol core: the shared [`SwitchCore`] paired with this
+//! process's own metrics registry.
 //!
-//! [`NodeCore`] owns exactly what the DES [`DgmcSwitch`] owns — the
-//! [`DgmcEngine`], the flooder, the LSDB, the routing table and the local
-//! incident-link truth — and mirrors its handler arm for arm. The only
-//! difference is the boundary: where the switch calls `ctx.send` /
-//! `ctx.schedule_self` on the simulator, the core returns [`Output`] values
-//! for a driver to act on. No sockets, no clocks, no I/O: the core is a
-//! pure function of its inputs, which is what lets the conformance suite
-//! (`tests/node_conformance.rs`) assert that DES and UDP drivers produce
-//! identical protocol state and decision logs.
+//! The DES actor [`DgmcSwitch`] and the node drive the *same*
+//! [`SwitchCore`]; this module only supplies what a process owns and a
+//! simulation shares — one [`MetricsRegistry`] per node (the decision log
+//! hangs off the engine's own observer). Still no sockets, no clocks, no
+//! I/O, which is what lets the conformance suite
+//! (`tests/node_conformance.rs`) assert that the DES and UDP drivers
+//! produce identical protocol state and decision logs.
 //!
 //! [`DgmcSwitch`]: dgmc_core::switch::DgmcSwitch
 
-use crate::frame::Frame;
-use dgmc_core::switch::{counters, histograms, DataKind, DataMsg, DgmcPayload};
-use dgmc_core::{DgmcAction, DgmcEngine, McId};
-use dgmc_lsr::flood::Flooder;
-use dgmc_lsr::lsa::{FloodPacket, LinkAdv, RouterLsa};
-use dgmc_lsr::{Lsdb, RoutingTable};
+pub use dgmc_core::switch::Output;
+use dgmc_core::switch::{Frame, SwitchCore};
+use dgmc_core::McId;
 use dgmc_mctree::{McAlgorithm, McType, Role};
-use dgmc_obs::{DecisionLogHandle, MetricsRegistry, SharedObserver};
-use dgmc_topology::{LinkId, Network, NodeId, SpfCache, SpfCacheStats};
-use std::collections::{BTreeMap, BTreeSet};
+use dgmc_obs::{DecisionLogHandle, MetricsRegistry};
+use dgmc_topology::{Network, NodeId, SpfCache};
+use std::ops::Deref;
 use std::rc::Rc;
 
 /// Counter names owned by the node driver layer (the protocol itself bumps
-/// the `dgmc.*` names from [`dgmc_core::switch::counters`]).
+/// the names in [`dgmc_core::switch::counters`], `node.unknown_sender`
+/// included).
 pub mod node_counters {
     /// Datagrams received on the UDP socket.
     pub const RX_DATAGRAMS: &str = "node.rx_datagrams";
@@ -36,66 +33,21 @@ pub mod node_counters {
     /// Datagrams that decoded but failed semantic validation
     /// ([`crate::frame::frame_is_sane`]).
     pub const INSANE_FRAMES: &str = "node.insane_frames";
-    /// Frames from nodes that are not neighbors on any incident link.
-    pub const UNKNOWN_SENDER: &str = "node.unknown_sender";
+    /// Datagrams the socket refused to send (e.g. `EMSGSIZE`); the node
+    /// counts them and carries on.
+    pub const SEND_ERRORS: &str = "node.send_errors";
     /// Sends the loss shim converted into delayed retransmissions.
     pub const SHIM_RETRANSMITS: &str = "node.shim_retransmits";
     /// Sends the loss shim dropped for good (hard loss).
     pub const SHIM_DROPS: &str = "node.shim_drops";
 }
 
-/// What the core asks its driver to do.
-#[derive(Debug, Clone)]
-pub enum Output {
-    /// Encode `frame` and send it to neighbor `to`.
-    Send {
-        /// Destination switch.
-        to: NodeId,
-        /// The frame to put on the wire.
-        frame: Frame,
-    },
-    /// Arm the `Tc` computation timer for `mc`, `after_nanos` from now; on
-    /// expiry feed [`NodeCore::on_computation_done`].
-    StartTimer {
-        /// The connection being recomputed.
-        mc: McId,
-        /// Delay in tick-domain nanoseconds.
-        after_nanos: u64,
-    },
-}
-
-/// The sans-IO protocol core (see the module docs).
+/// A [`SwitchCore`] with a per-process registry (see the module docs).
+/// Dereferences to the core for read access.
+#[derive(Debug)]
 pub struct NodeCore {
-    me: NodeId,
-    n: usize,
-    tc_nanos: u64,
-    flooder: Flooder,
-    lsdb: Lsdb,
-    routes: RoutingTable,
-    /// Local ground truth about incident links: (link, neighbor, cost, up).
-    incident: Vec<(LinkId, NodeId, u64, bool)>,
-    next_router_seq: u64,
-    engine: DgmcEngine,
-    spf_cache: SpfCache,
-    image: Network,
-    /// (mc, packet_id) -> copies delivered to the local host.
-    delivered: BTreeMap<(McId, u64), u32>,
-    failed: bool,
-    /// Tick-domain start instant of the in-flight computation per MC.
-    computation_started: BTreeMap<McId, u64>,
-    installed_edges: BTreeMap<McId, BTreeSet<(NodeId, NodeId)>>,
-    withdrawn_since_event: u64,
+    core: SwitchCore,
     metrics: MetricsRegistry,
-    observer: SharedObserver,
-}
-
-impl std::fmt::Debug for NodeCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeCore")
-            .field("me", &self.me)
-            .field("mcs", &self.engine.mc_ids())
-            .finish()
-    }
 }
 
 impl NodeCore {
@@ -108,72 +60,10 @@ impl NodeCore {
         tc_nanos: u64,
         algorithm: Rc<dyn McAlgorithm>,
     ) -> NodeCore {
-        let spf_cache = SpfCache::new();
-        let mut lsdb = Lsdb::new(net.len());
-        for n in net.nodes() {
-            lsdb.install(RouterLsa::describe(net, n, 0));
-        }
-        let image = lsdb.local_image();
-        let routes = RoutingTable::compute_with(&image, me, &spf_cache);
-        let incident = net
-            .links()
-            .filter(|l| l.a == me || l.b == me)
-            .map(|l| (l.id, l.other(me), l.cost, l.is_up()))
-            .collect();
-        let mut engine = DgmcEngine::new(me, net.len(), algorithm);
-        engine.set_spf_cache(spf_cache.clone());
-        let observer = SharedObserver::new();
-        engine.set_observer(observer.clone());
         NodeCore {
-            me,
-            n: net.len(),
-            tc_nanos,
-            flooder: Flooder::new(me),
-            lsdb,
-            routes,
-            incident,
-            next_router_seq: 1,
-            engine,
-            spf_cache,
-            image,
-            delivered: BTreeMap::new(),
-            failed: false,
-            computation_started: BTreeMap::new(),
-            installed_edges: BTreeMap::new(),
-            withdrawn_since_event: 0,
+            core: SwitchCore::new(me, net, tc_nanos, algorithm, SpfCache::new()),
             metrics: MetricsRegistry::new(),
-            observer,
         }
-    }
-
-    /// The switch id.
-    pub fn id(&self) -> NodeId {
-        self.me
-    }
-
-    /// The network width the core was built for.
-    pub fn width(&self) -> usize {
-        self.n
-    }
-
-    /// Read access to the protocol engine.
-    pub fn engine(&self) -> &DgmcEngine {
-        &self.engine
-    }
-
-    /// The core's local image of the network.
-    pub fn image(&self) -> &Network {
-        &self.image
-    }
-
-    /// The unicast routing table.
-    pub fn routes(&self) -> &RoutingTable {
-        &self.routes
-    }
-
-    /// `true` while administratively failed (all traffic dropped).
-    pub fn is_failed(&self) -> bool {
-        self.failed
     }
 
     /// The per-process metrics registry.
@@ -186,319 +76,19 @@ impl NodeCore {
         &mut self.metrics
     }
 
-    /// The decision-event observer shared with the engine.
-    pub fn observer(&self) -> &SharedObserver {
-        &self.observer
-    }
-
-    /// Attaches a bounded in-memory decision log and returns its handle.
+    /// Attaches a bounded in-memory decision log to the engine's own
+    /// observer and returns its handle.
     pub fn attach_log(&self, capacity: usize) -> DecisionLogHandle {
-        self.observer.attach_log(capacity)
+        self.core.engine().observer().attach_log(capacity)
     }
 
-    /// `true` when the engine holds no pending protocol work (mailboxes,
-    /// computations, unproposed flags). Driver-side timers are the driver's
-    /// business.
-    pub fn quiet(&self) -> bool {
-        self.engine.is_quiet()
-    }
-
-    /// How many copies of `(mc, packet_id)` the local host received.
-    pub fn delivered_copies(&self, mc: McId, packet_id: u64) -> u32 {
-        self.delivered.get(&(mc, packet_id)).copied().unwrap_or(0)
-    }
-
-    /// All delivery counts, keyed by `(mc, packet_id)`.
-    pub fn deliveries(&self) -> &BTreeMap<(McId, u64), u32> {
-        &self.delivered
-    }
-
-    fn up_links(&self) -> Vec<(LinkId, NodeId)> {
-        self.incident
-            .iter()
-            .filter(|(.., up)| *up)
-            .map(|&(l, n, ..)| (l, n))
-            .collect()
-    }
-
-    fn link_to(&self, neighbor: NodeId) -> Option<LinkId> {
-        self.incident
-            .iter()
-            .find(|&&(_, n, _, up)| n == neighbor && up)
-            .map(|&(l, ..)| l)
-    }
-
-    fn neighbor_of(&self, link: LinkId) -> Option<NodeId> {
-        self.incident
-            .iter()
-            .find(|&&(l, ..)| l == link)
-            .map(|&(_, n, ..)| n)
-    }
-
-    /// The incident link toward `from`, up or down (`via` resolution for
-    /// received datagrams).
-    fn link_from(&self, from: NodeId) -> Option<LinkId> {
-        self.incident
-            .iter()
-            .find(|&&(_, n, ..)| n == from)
-            .map(|&(l, ..)| l)
-    }
-
-    fn flood(&mut self, out: &mut Vec<Output>, payload: DgmcPayload, except: Option<LinkId>) {
-        let packet = self.flooder.originate(payload);
-        let mut fanout = 0u64;
-        for (link, neighbor) in self.up_links() {
-            if Some(link) == except {
-                continue;
-            }
-            fanout += 1;
-            out.push(Output::Send {
-                to: neighbor,
-                frame: Frame::Flood(packet.clone()),
-            });
-        }
-        self.metrics.observe_named(histograms::FLOOD_FANOUT, fanout);
-    }
-
-    fn relay(&mut self, out: &mut Vec<Output>, packet: &FloodPacket<DgmcPayload>, via: LinkId) {
-        for (link, neighbor) in self.up_links() {
-            if link == via {
-                continue;
-            }
-            out.push(Output::Send {
-                to: neighbor,
-                frame: Frame::Flood(packet.clone()),
-            });
-        }
-    }
-
-    fn execute(&mut self, out: &mut Vec<Output>, now_nanos: u64, actions: Vec<DgmcAction>) {
-        for action in actions {
-            match action {
-                DgmcAction::Flood(lsa) => {
-                    *self.metrics.counter_slot(counters::FLOODINGS) += 1;
-                    self.flood(out, DgmcPayload::Mc(lsa), None);
-                }
-                DgmcAction::StartComputation { mc } => {
-                    *self.metrics.counter_slot(counters::COMPUTATIONS) += 1;
-                    self.computation_started.entry(mc).or_insert(now_nanos);
-                    out.push(Output::StartTimer {
-                        mc,
-                        after_nanos: self.tc_nanos,
-                    });
-                }
-                DgmcAction::Installed { mc } => {
-                    *self.metrics.counter_slot(counters::INSTALLS) += 1;
-                    if let Some(started) = self.computation_started.remove(&mc) {
-                        let latency = now_nanos.saturating_sub(started);
-                        self.metrics
-                            .observe_named(histograms::INSTALL_LATENCY_US, latency / 1_000);
-                    }
-                    let edges: BTreeSet<(NodeId, NodeId)> = self
-                        .engine
-                        .installed(mc)
-                        .map(|t| t.edges().collect())
-                        .unwrap_or_default();
-                    if let Some(previous) = self.installed_edges.insert(mc, edges) {
-                        let disrupted = u64::try_from(
-                            previous
-                                .difference(self.installed_edges.get(&mc).expect("just inserted"))
-                                .count(),
-                        )
-                        .expect("edge count fits u64");
-                        *self.metrics.counter_slot(counters::DISRUPTED_EDGES) += disrupted;
-                    }
-                }
-                DgmcAction::Withdrawn { mc: _ } => {
-                    *self.metrics.counter_slot(counters::WITHDRAWN) += 1;
-                    self.withdrawn_since_event += 1;
-                }
-            }
-        }
-    }
-
-    fn close_event_episode(&mut self) {
-        self.metrics.observe_named(
-            histograms::WITHDRAWALS_PER_EVENT,
-            self.withdrawn_since_event,
-        );
-        self.withdrawn_since_event = 0;
-    }
-
-    fn refresh_image(&mut self) {
-        let before = self.spf_cache.stats();
-        self.image = self.lsdb.local_image();
-        self.routes = RoutingTable::compute_with(&self.image, self.me, &self.spf_cache);
-        self.record_spf_delta(before);
-    }
-
-    fn record_spf_delta(&mut self, before: SpfCacheStats) {
-        let after = self.spf_cache.stats();
-        *self.metrics.counter_slot(counters::SPF_CACHE_HITS) += after.hits - before.hits;
-        *self.metrics.counter_slot(counters::SPF_CACHE_MISSES) += after.misses - before.misses;
-        *self.metrics.counter_slot(counters::SPF_CACHE_REPAIRS) += after.repairs - before.repairs;
-        *self.metrics.counter_slot(counters::SPF_CACHE_INVALIDATIONS) +=
-            after.invalidations - before.invalidations;
-        if after.misses > before.misses {
-            self.metrics.observe_named(
-                histograms::SPF_SETTLED_PER_COMPUTE,
-                after.settled_nodes - before.settled_nodes,
-            );
-        }
-    }
-
-    fn deliver_locally(&mut self, data: &DataMsg) {
-        if self.engine.is_member(data.mc) {
-            *self.metrics.counter_slot(counters::DATA_DELIVERED) += 1;
-            *self.delivered.entry((data.mc, data.packet_id)).or_insert(0) += 1;
-        }
-    }
-
-    fn forward_tree(&mut self, out: &mut Vec<Output>, data: DataMsg, via: Option<LinkId>) {
-        self.deliver_locally(&data);
-        let Some(topology) = self.engine.installed(data.mc) else {
-            return;
-        };
-        let from = via.and_then(|l| self.neighbor_of(l));
-        let next_hops: Vec<NodeId> = topology
-            .neighbors_in(self.me)
-            .into_iter()
-            .filter(|&n| Some(n) != from)
-            .collect();
-        for n in next_hops {
-            if let Some(link) = self.link_to(n) {
-                out.push(Output::Send {
-                    to: n,
-                    frame: Frame::Data(DataMsg {
-                        kind: DataKind::TreeFlood { via: Some(link) },
-                        ..data.clone()
-                    }),
-                });
-            }
-        }
-    }
-
-    fn inject_data(&mut self, out: &mut Vec<Output>, mc: McId, packet_id: u64) {
-        let data = DataMsg {
-            mc,
-            packet_id,
-            origin: self.me,
-            kind: DataKind::TreeFlood { via: None },
-        };
-        if self.engine.is_member(mc)
-            || self
-                .engine
-                .installed(mc)
-                .is_some_and(|t| t.touches(self.me))
-        {
-            self.forward_tree(out, data, None);
-            return;
-        }
-        let Some(topology) = self.engine.installed(mc) else {
-            return;
-        };
-        let contact = topology
-            .nodes()
-            .into_iter()
-            .filter_map(|n| self.routes.cost(n).map(|c| (c, n)))
-            .min();
-        let Some((_, contact)) = contact else { return };
-        let data = DataMsg {
-            kind: DataKind::UnicastToContact { contact },
-            ..data
-        };
-        if contact == self.me {
-            self.forward_tree(out, data, None);
-            return;
-        }
-        if let Some(next) = self.routes.next_hop(contact) {
-            out.push(Output::Send {
-                to: next,
-                frame: Frame::Data(data),
-            });
-        }
-    }
-
-    fn on_data(&mut self, out: &mut Vec<Output>, data: DataMsg) {
-        match data.kind {
-            DataKind::TreeFlood { via } => {
-                let d = DataMsg {
-                    kind: DataKind::TreeFlood { via },
-                    ..data
-                };
-                self.forward_tree(out, d, via);
-            }
-            DataKind::UnicastToContact { contact } => {
-                if contact == self.me {
-                    let d = DataMsg {
-                        kind: DataKind::TreeFlood { via: None },
-                        ..data
-                    };
-                    self.forward_tree(out, d, None);
-                } else if let Some(next) = self.routes.next_hop(contact) {
-                    out.push(Output::Send {
-                        to: next,
-                        frame: Frame::Data(data),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Handles one decoded, validated frame from neighbor `from` (the DES
-    /// `Packet`/`DbSync`/`Data` arms).
+    /// Handles one decoded, validated frame from neighbour `from`.
     pub fn on_frame(&mut self, now_nanos: u64, from: NodeId, frame: Frame) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.observer.set_now(now_nanos);
-        if self.failed {
-            return out;
-        }
-        match frame {
-            Frame::Flood(packet) => {
-                let Some(via) = self.link_from(from) else {
-                    *self.metrics.counter_slot(node_counters::UNKNOWN_SENDER) += 1;
-                    return out;
-                };
-                if !self.flooder.accept(packet.id) {
-                    *self.metrics.counter_slot(counters::DUPLICATES) += 1;
-                    return out;
-                }
-                self.relay(&mut out, &packet, via);
-                match packet.payload {
-                    DgmcPayload::Router(lsa) => {
-                        if self.lsdb.install(lsa) {
-                            self.refresh_image();
-                        }
-                    }
-                    DgmcPayload::Mc(lsa) => {
-                        *self.metrics.counter_slot(counters::MC_LSAS) += 1;
-                        let actions = self.engine.on_mc_lsa(lsa);
-                        self.execute(&mut out, now_nanos, actions);
-                    }
-                }
-            }
-            Frame::DbSync {
-                router_lsas,
-                mc_states,
-            } => {
-                let mut changed = false;
-                for lsa in router_lsas {
-                    changed |= self.lsdb.install(lsa);
-                }
-                if changed {
-                    self.refresh_image();
-                }
-                let actions = self.engine.import_sync(mc_states);
-                self.execute(&mut out, now_nanos, actions);
-            }
-            Frame::Data(data) => {
-                self.on_data(&mut out, data);
-            }
-        }
-        out
+        self.core
+            .on_frame(now_nanos, &mut self.metrics, from, frame)
     }
 
-    /// A local host joins `mc` (the DES `HostJoin` arm).
+    /// A local host joins `mc`.
     pub fn on_join(
         &mut self,
         now_nanos: u64,
@@ -506,41 +96,17 @@ impl NodeCore {
         mc_type: McType,
         role: Role,
     ) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.observer.set_now(now_nanos);
-        if self.failed {
-            return out;
-        }
-        let actions = self.engine.local_join(mc, mc_type, role);
-        if !actions.is_empty() {
-            *self.metrics.counter_slot(counters::MEMBER_EVENTS) += 1;
-            self.close_event_episode();
-        }
-        self.execute(&mut out, now_nanos, actions);
-        out
+        self.core
+            .on_join(now_nanos, &mut self.metrics, mc, mc_type, role)
     }
 
-    /// A local host leaves `mc` (the DES `HostLeave` arm).
+    /// A local host leaves `mc`.
     pub fn on_leave(&mut self, now_nanos: u64, mc: McId) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.observer.set_now(now_nanos);
-        if self.failed {
-            return out;
-        }
-        let actions = self.engine.local_leave(mc);
-        if !actions.is_empty() {
-            *self.metrics.counter_slot(counters::MEMBER_EVENTS) += 1;
-            self.close_event_episode();
-        }
-        self.execute(&mut out, now_nanos, actions);
-        out
+        self.core.on_leave(now_nanos, &mut self.metrics, mc)
     }
 
-    /// The incident link toward `neighbor` changed state (the DES
-    /// `LinkEvent` arm). `detector` marks the advertising endpoint.
-    ///
-    /// Unknown neighbors are ignored (the DES switch panics here; a real
-    /// node must shrug off a bad control command).
+    /// The incident link toward `neighbor` changed state; unknown
+    /// neighbours are ignored.
     pub fn on_link_event(
         &mut self,
         now_nanos: u64,
@@ -548,106 +114,32 @@ impl NodeCore {
         up: bool,
         detector: bool,
     ) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.observer.set_now(now_nanos);
-        if self.failed {
-            return out;
-        }
-        let Some(entry) = self.incident.iter_mut().find(|(_, n, ..)| *n == neighbor) else {
-            return out;
-        };
-        entry.3 = up;
-        if up {
-            // Database exchange toward the (possibly just revived) far
-            // endpoint, as OSPF does when an adjacency forms.
-            let node_count = u32::try_from(self.lsdb.node_count()).expect("node ids fit u32");
-            let router_lsas = (0..node_count)
-                .filter_map(|i| self.lsdb.get(NodeId(i)).cloned())
-                .collect();
-            out.push(Output::Send {
-                to: neighbor,
-                frame: Frame::DbSync {
-                    router_lsas,
-                    mc_states: self.engine.export_sync(),
-                },
-            });
-        }
-        if detector {
-            let links = self
-                .incident
-                .iter()
-                .map(|&(l, n, cost, up)| LinkAdv {
-                    link: l,
-                    neighbor: n,
-                    cost,
-                    up,
-                })
-                .collect();
-            let lsa = RouterLsa {
-                origin: self.me,
-                seq: self.next_router_seq,
-                links,
-            };
-            self.next_router_seq += 1;
-            self.lsdb.install(lsa.clone());
-            self.refresh_image();
-            *self.metrics.counter_slot(counters::ROUTER_FLOODS) += 1;
-            self.flood(&mut out, DgmcPayload::Router(lsa), None);
-            let actions = self.engine.local_link_event(self.me, neighbor);
-            self.execute(&mut out, now_nanos, actions);
-        }
-        out
+        self.core
+            .on_link_event(now_nanos, &mut self.metrics, neighbor, up, detector)
     }
 
-    /// The `Tc` computation timer for `mc` fired (the DES `ComputationDone`
-    /// arm).
+    /// The `Tc` computation timer for `mc` fired.
     pub fn on_computation_done(&mut self, now_nanos: u64, mc: McId) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.observer.set_now(now_nanos);
-        if self.failed {
-            return out;
-        }
-        let before = self.spf_cache.stats();
-        let actions = self.engine.on_computation_done(mc, &self.image);
-        self.record_spf_delta(before);
-        self.execute(&mut out, now_nanos, actions);
-        out
+        self.core
+            .on_computation_done(now_nanos, &mut self.metrics, mc)
     }
 
-    /// A local host injects a data packet (the DES `SendData` arm).
+    /// A local host injects data packet `packet_id` into `mc`.
     pub fn on_send_data(&mut self, now_nanos: u64, mc: McId, packet_id: u64) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.observer.set_now(now_nanos);
-        if self.failed {
-            return out;
-        }
-        self.inject_data(&mut out, mc, packet_id);
-        out
+        self.core
+            .on_send_data(now_nanos, &mut self.metrics, mc, packet_id)
     }
 
-    /// Administrative failure/recovery (the DES `NodeAdmin` arm).
-    pub fn on_admin(&mut self, now_nanos: u64, up: bool) -> Vec<Output> {
-        self.observer.set_now(now_nanos);
-        if self.failed {
-            if up {
-                self.failed = false;
-                // Incident links come back with the node; neighbors
-                // advertise and sync.
-                for entry in &mut self.incident {
-                    entry.3 = true;
-                }
-            }
-        } else if !up {
-            self.failed = true;
-            for entry in &mut self.incident {
-                entry.3 = false;
-            }
-        }
-        Vec::new()
+    /// Administrative failure/recovery.
+    pub fn on_admin(&mut self, up: bool) -> Vec<Output> {
+        self.core.on_admin(up)
     }
+}
 
-    /// How many connections the engine currently tracks (status line).
-    pub fn mc_count(&self) -> usize {
-        self.engine.mc_count()
+impl Deref for NodeCore {
+    type Target = SwitchCore;
+
+    fn deref(&self) -> &SwitchCore {
+        &self.core
     }
 }
