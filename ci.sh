@@ -41,6 +41,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test (with backtraces, so panics in threaded tests are diagnosable) =="
 RUST_BACKTRACE=1 cargo test --workspace --offline -q
 
+echo "== hierarchy study reproduces results/hierarchy.txt byte for byte =="
+cargo run --offline -q --release -p dgmc-experiments --bin hierarchy |
+    cmp - results/hierarchy.txt || {
+    echo "hierarchy output differs from results/hierarchy.txt"
+    exit 1
+}
+
 echo "== node e2e (multi-process localhost mesh, ignored tests) =="
 cargo build -q --offline --release -p dgmc-node
 RUST_BACKTRACE=1 DGMC_NODE_BIN="$PWD/target/release/dgmc-node" \

@@ -3,14 +3,16 @@
 //! of the sans-IO [`SwitchCore`] driven directly, with no simulator.
 
 use dgmc_core::switch::{
-    build_dgmc_sim, counters, DataKind, DataMsg, DgmcConfig, DgmcSwitch, Frame, Output, SwitchCore,
-    SwitchMsg,
+    build_dgmc_sim, counters, inject_link_event, DataKind, DataMsg, DgmcConfig, DgmcPayload,
+    DgmcSwitch, Frame, Output, SwitchCore, SwitchMsg,
 };
 use dgmc_core::{McId, McType, Role};
 use dgmc_des::{ActorId, SimDuration, Simulation};
+use dgmc_lsr::lsa::{FloodId, FloodPacket, RouterLsa};
+use dgmc_lsr::RoutingTable;
 use dgmc_mctree::SphStrategy;
 use dgmc_obs::MetricsRegistry;
-use dgmc_topology::{generate, NodeId, SpfCache};
+use dgmc_topology::{generate, Network, NodeId, SpfCache};
 use std::rc::Rc;
 
 const MC: McId = McId(1);
@@ -193,17 +195,65 @@ fn data_between_installs_uses_latest_tree() {
     assert_eq!(sender.delivered_copies(MC, 3), 1, "sender still a member");
 }
 
+#[test]
+#[should_panic(expected = "not incident")]
+fn des_driver_panics_on_a_foreign_link_event() {
+    let net = generate::path(4);
+    let far = net.link_between(NodeId(2), NodeId(3)).unwrap().id;
+    let mut sim = sim_path(4);
+    sim.inject(
+        ActorId(0),
+        SimDuration::ZERO,
+        SwitchMsg::LinkEvent {
+            link: far,
+            up: false,
+            detector: true,
+        },
+    );
+    sim.run_to_quiescence();
+}
+
+#[test]
+fn link_repair_restores_routes() {
+    let net = generate::ring(5);
+    let mut sim = build_dgmc_sim(
+        &net,
+        DgmcConfig::computation_dominated(),
+        Rc::new(SphStrategy::new()),
+    );
+    let link = net.link_between(NodeId(0), NodeId(1)).unwrap().id;
+    inject_link_event(&mut sim, &net, link, false, SimDuration::ZERO);
+    sim.run_to_quiescence();
+    let sw0 = sim.actor_as::<DgmcSwitch>(ActorId(0)).unwrap();
+    assert_eq!(sw0.routes().cost(NodeId(1)), Some(4), "the long way round");
+    inject_link_event(&mut sim, &net, link, true, SimDuration::micros(1));
+    sim.run_to_quiescence();
+    assert_eq!(sim.counter_value(counters::ROUTER_FLOODS), 2);
+    for src in net.nodes() {
+        let sw = sim.actor_as::<DgmcSwitch>(ActorId(src.0)).unwrap();
+        let reference = RoutingTable::compute(&net, src);
+        for dst in net.nodes() {
+            assert_eq!(sw.routes().cost(dst), reference.cost(dst), "{src}->{dst}");
+        }
+    }
+}
+
 const TC_NANOS: u64 = 300_000;
 
-/// A bare core for switch `me` on a path of `n` switches.
-fn core_on_path(n: usize, me: u32) -> SwitchCore {
+/// A bare core for switch `me` warm-started on `net`.
+fn core_on(net: &Network, me: u32) -> SwitchCore {
     SwitchCore::new(
         NodeId(me),
-        &generate::path(n),
+        net,
         TC_NANOS,
         Rc::new(SphStrategy::new()),
         SpfCache::new(),
     )
+}
+
+/// A bare core for switch `me` on a path of `n` switches.
+fn core_on_path(n: usize, me: u32) -> SwitchCore {
+    core_on(&generate::path(n), me)
 }
 
 fn join(core: &mut SwitchCore, metrics: &mut MetricsRegistry, now: u64) -> Vec<Output> {
@@ -263,11 +313,15 @@ fn core_drops_and_counts_frames_from_non_neighbours() {
     assert_eq!(metrics.counter_value(counters::MC_LSAS), 0);
     assert_eq!(core.engine().mc_count(), 0, "the engine never saw the LSA");
 
-    // The same LSA from the real neighbour is accepted and relayed on.
-    let out = core.on_frame(2, &mut metrics, NodeId(2), flood);
+    // The same LSA from the real neighbour is accepted and relayed on; a
+    // second copy is a suppressed duplicate.
+    let out = core.on_frame(2, &mut metrics, NodeId(2), flood.clone());
     assert_eq!(metrics.counter_value(counters::MC_LSAS), 1);
     assert_eq!(metrics.counter_value(counters::UNKNOWN_SENDER), 3);
     assert_eq!(sends(&out), vec![NodeId(0)]);
+    assert!(core.on_frame(3, &mut metrics, NodeId(2), flood).is_empty());
+    assert_eq!(metrics.counter_value(counters::DUPLICATES), 1);
+    assert_eq!(metrics.counter_value(counters::MC_LSAS), 1);
 }
 
 #[test]
@@ -275,6 +329,9 @@ fn core_ignores_link_events_naming_an_unknown_neighbour() {
     let mut core = core_on_path(4, 1);
     let mut metrics = MetricsRegistry::new();
     let digest = core.image().digest();
+    for dst in 0..4 {
+        assert!(core.routes().reaches(NodeId(dst)), "warm start routes");
+    }
     for stranger in [NodeId(3), NodeId(1), NodeId(99)] {
         for (up, detector) in [(false, true), (true, true), (true, false)] {
             assert!(core
@@ -285,11 +342,13 @@ fn core_ignores_link_events_naming_an_unknown_neighbour() {
     assert!(metrics.counters_map().is_empty(), "nothing counted");
     assert_eq!(core.image().digest(), digest, "image untouched");
 
-    // A real neighbour's link going down is advertised to the other one.
+    // A real neighbour's link going down is advertised to the other one,
+    // and routing drops the far side of the cut.
     let out = core.on_link_event(0, &mut metrics, NodeId(2), false, true);
     assert_eq!(metrics.counter_value(counters::ROUTER_FLOODS), 1);
     assert_eq!(sends(&out), vec![NodeId(0)]);
     assert_ne!(core.image().digest(), digest);
+    assert!(!core.routes().reaches(NodeId(3)));
 }
 
 /// One handler call on a core, given a valid frame to deliver.
@@ -326,4 +385,25 @@ fn failed_core_drops_every_input_except_admin_up() {
     let out = core.on_computation_done(8 + TC_NANOS, &mut metrics, MC);
     assert_eq!(sends(&out), vec![NodeId(0), NodeId(2)]);
     assert_eq!(metrics.counter_value(counters::MEMBER_EVENTS), 1);
+}
+
+#[test]
+fn core_relays_a_stale_router_lsa_without_recomputing() {
+    let net = generate::ring(4);
+    let mut core = core_on(&net, 2);
+    let mut metrics = MetricsRegistry::new();
+    let digest = core.image().digest();
+    // A fresh flood id carrying the warm-start (seq 0) LSA of switch 0: the
+    // LSDB already holds that sequence number, so only the relay happens.
+    let stale = Frame::Flood(FloodPacket {
+        id: FloodId {
+            origin: NodeId(0),
+            seq: 99,
+        },
+        payload: DgmcPayload::Router(RouterLsa::describe(&net, NodeId(0), 0)),
+    });
+    let out = core.on_frame(0, &mut metrics, NodeId(1), stale);
+    assert_eq!(sends(&out), vec![NodeId(3)]);
+    assert!(metrics.counters_map().is_empty(), "no SPF run counted");
+    assert_eq!(core.image().digest(), digest);
 }

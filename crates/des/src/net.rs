@@ -26,12 +26,54 @@
 //! the delivery instant). Same-origin LSAs therefore keep their order along
 //! every path — reordering happens *across* links and paths, which is where
 //! the protocol's concurrent-proposal machinery is exercised.
+//!
+//! [`NetStats`] is the ledger of the delivery path: the simulator counts
+//! every send, drop, duplicate and retransmission round, and the books must
+//! [reconcile][NetStats::reconciles] — copies scheduled equals sends minus
+//! drops plus duplicates.
 
 use crate::{ActorId, SimDuration, SimTime};
 use dgmc_obs::JsonValue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::fmt;
+
+/// Message accounting across the network model.
+///
+/// All zeros until a [`NetModel`] is installed; see
+/// [`crate::Simulation::net_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NetStats {
+    /// Actor-to-actor sends routed through the model.
+    pub sent: u64,
+    /// Message copies actually scheduled for delivery.
+    pub delivered: u64,
+    /// Messages hard-dropped (never delivered).
+    pub dropped: u64,
+    /// Extra copies injected.
+    pub duplicated: u64,
+    /// Recovered retransmission rounds (late deliveries, not extra copies).
+    pub retransmits: u64,
+}
+
+impl NetStats {
+    /// Checks the conservation law of the delivery path:
+    /// `sent + duplicated == delivered + dropped`.
+    pub fn reconciles(&self) -> bool {
+        self.sent + self.duplicated == self.delivered + self.dropped
+    }
+}
+
+impl fmt::Display for NetStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "sent={} delivered={} dropped={} duplicated={} retransmits={}",
+            self.sent, self.delivered, self.dropped, self.duplicated, self.retransmits
+        )
+    }
+}
 
 /// Provenance of one scheduled copy of a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -690,5 +732,150 @@ mod tests {
             }),
             0,
         );
+    }
+
+    mod net_accounting {
+        //! Drop accounting when a network model drops or duplicates: the
+        //! [`NetStats`] ledger must reconcile with what the causal trace
+        //! (and the receiving actor) actually saw delivered.
+
+        use crate::net::{Delivery, DeliveryKind, FaultPlan, FaultyNet, LinkFaults, NetModel};
+        use crate::{Actor, ActorId, Ctx, Envelope, SimDuration, SimTime, Simulation};
+
+        /// Drops every 3rd message, duplicates every 4th, else passes through.
+        struct Scripted {
+            calls: u64,
+        }
+
+        impl NetModel for Scripted {
+            fn route(
+                &mut self,
+                _from: ActorId,
+                _to: ActorId,
+                _now: SimTime,
+                base: SimDuration,
+            ) -> Vec<Delivery> {
+                self.calls += 1;
+                if self.calls.is_multiple_of(3) {
+                    return Vec::new();
+                }
+                let mut out = vec![Delivery {
+                    delay: base,
+                    kind: DeliveryKind::Original,
+                }];
+                if self.calls.is_multiple_of(4) {
+                    out.push(Delivery {
+                        delay: base + SimDuration::micros(1),
+                        kind: DeliveryKind::Duplicate,
+                    });
+                }
+                out
+            }
+        }
+
+        /// Sends `remaining` pings to a peer; the peer counts arrivals.
+        struct Pinger {
+            peer: ActorId,
+            remaining: u64,
+        }
+
+        impl Actor<u64> for Pinger {
+            fn handle(&mut self, ctx: &mut Ctx<'_, u64>, _env: Envelope<u64>) {
+                if self.remaining > 0 {
+                    self.remaining -= 1;
+                    ctx.send(self.peer, SimDuration::micros(10), self.remaining);
+                    ctx.schedule_self(SimDuration::micros(20), 0);
+                }
+            }
+        }
+
+        struct Sink;
+        impl Actor<u64> for Sink {
+            fn handle(&mut self, ctx: &mut Ctx<'_, u64>, _env: Envelope<u64>) {
+                ctx.counter("arrived").incr();
+            }
+        }
+
+        fn run_with(model: impl NetModel + 'static, pings: u64) -> Simulation<u64> {
+            let mut sim = Simulation::new();
+            let sink = sim.add_actor(Box::new(Sink));
+            let pinger = sim.add_actor(Box::new(Pinger {
+                peer: sink,
+                remaining: pings,
+            }));
+            sim.enable_causal_trace(|m| format!("m{m}"));
+            sim.set_net_model(model);
+            sim.inject(pinger, SimDuration::ZERO, 0);
+            sim.run_to_quiescence();
+            sim
+        }
+
+        #[test]
+        fn dropped_and_duplicated_reconcile_with_delivered() {
+            let mut sim = run_with(Scripted { calls: 0 }, 24);
+            let stats = *sim.net_stats();
+            assert_eq!(stats.sent, 24);
+            assert_eq!(stats.dropped, 8, "every 3rd of 24 sends dropped");
+            assert_eq!(stats.duplicated, 4, "every 4th not divisible by 3");
+            assert!(stats.reconciles(), "{stats}");
+            // The receiving actor saw exactly the scheduled copies...
+            assert_eq!(sim.counter_value("arrived"), stats.delivered);
+            // ...and so did the causal trace: actor-to-actor spans, minus
+            // the zero-length spans of dropped sends.
+            let traced = sim
+                .take_causal_trace()
+                .expect("causal tracing enabled")
+                .spans
+                .iter()
+                .filter(|s| s.from.is_some() && !s.notes.iter().any(|n| n == "fault:drop"))
+                .count() as u64;
+            assert_eq!(traced, stats.delivered);
+            // The ledger is mirrored into the metrics registry.
+            assert_eq!(sim.counter_value(crate::net_counters::DROPPED), 8);
+            assert_eq!(sim.counter_value(crate::net_counters::DUPLICATED), 4);
+        }
+
+        #[test]
+        fn seeded_faulty_net_reconciles_too() {
+            let plan = FaultPlan::uniform(LinkFaults {
+                loss: 0.3,
+                hard_loss: 0.2,
+                duplicate: 0.25,
+                jitter: SimDuration::micros(40),
+            });
+            let sim = run_with(FaultyNet::new(plan, 1234), 200);
+            let stats = *sim.net_stats();
+            assert_eq!(stats.sent, 200);
+            assert!(stats.dropped > 0, "hard loss must have fired: {stats}");
+            assert!(stats.duplicated > 0, "{stats}");
+            assert!(stats.retransmits > 0, "{stats}");
+            assert!(stats.reconciles(), "{stats}");
+            assert_eq!(sim.counter_value("arrived"), stats.delivered);
+        }
+
+        #[test]
+        fn timers_and_injections_bypass_the_model() {
+            // Pinger's schedule_self timers drive the run; with a
+            // drop-everything model no ping arrives yet all timers do.
+            struct DropAll;
+            impl NetModel for DropAll {
+                fn route(
+                    &mut self,
+                    _f: ActorId,
+                    _t: ActorId,
+                    _n: SimTime,
+                    _b: SimDuration,
+                ) -> Vec<Delivery> {
+                    Vec::new()
+                }
+            }
+            let sim = run_with(DropAll, 10);
+            let stats = *sim.net_stats();
+            assert_eq!(stats.sent, 10);
+            assert_eq!(stats.dropped, 10);
+            assert_eq!(stats.delivered, 0);
+            assert!(stats.reconciles());
+            assert_eq!(sim.counter_value("arrived"), 0);
+        }
     }
 }

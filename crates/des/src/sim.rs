@@ -1,6 +1,5 @@
-use crate::net::{DeliveryKind, NetModel};
+use crate::net::{DeliveryKind, NetModel, NetStats};
 use crate::stats::CounterHandle;
-use crate::trace::{NetStats, TraceBuffer, TraceEvent};
 use crate::{SimDuration, SimTime};
 use dgmc_obs::{
     DecisionEvent, DecisionKind, FaultKind, MetricsRegistry, SharedObserver, SharedTracer,
@@ -283,7 +282,6 @@ pub struct Simulation<M> {
     observer: SharedObserver,
     events_processed: u64,
     event_budget: u64,
-    trace: Option<(TraceBuffer, Labeler<M>)>,
     tracer: SharedTracer,
     span_labeler: Option<Labeler<M>>,
     net: Option<Box<dyn NetModel>>,
@@ -319,7 +317,6 @@ impl<M> Simulation<M> {
             observer: SharedObserver::new(),
             events_processed: 0,
             event_budget: u64::MAX,
-            trace: None,
             tracer: SharedTracer::new(),
             span_labeler: None,
             net: None,
@@ -351,17 +348,6 @@ impl<M> Simulation<M> {
     /// protection against protocol livelocks. Default: unlimited.
     pub fn set_event_budget(&mut self, budget: u64) {
         self.event_budget = budget;
-    }
-
-    /// Enables delivery tracing: the `labeler` renders each message into a
-    /// short label and the `capacity` most recent deliveries are retained.
-    pub fn enable_trace(&mut self, capacity: usize, labeler: impl Fn(&M) -> String + 'static) {
-        self.trace = Some((TraceBuffer::new(capacity), Box::new(labeler)));
-    }
-
-    /// The trace buffer, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.trace.as_ref().map(|(buf, _)| buf)
     }
 
     /// Enables causal span tracing: from now on every injected event opens a
@@ -548,14 +534,6 @@ impl<M> Simulation<M> {
             self.now = scheduled.at;
             self.observer.set_now(self.now.as_nanos());
             self.events_processed += 1;
-            if let Some((buf, labeler)) = &mut self.trace {
-                buf.push(TraceEvent {
-                    at: scheduled.at,
-                    to: scheduled.env.to,
-                    from: scheduled.env.from,
-                    label: labeler(&scheduled.env.msg),
-                });
-            }
             let idx = scheduled.env.to.index();
             // Take the actor out so it can borrow the queue through Ctx.
             let mut actor = self

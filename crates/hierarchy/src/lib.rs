@@ -19,11 +19,15 @@
 //!   borders, logical edges expanded back to physical paths,
 //! * [`scope`] — flood-scope accounting showing the scalability win: an
 //!   intra-area event floods `|area|` switches instead of `n` (plus the
-//!   backbone when the inter-area topology is affected).
+//!   backbone when the inter-area topology is affected),
+//! * [`switch`] — the signaling-level DES: every switch runs the flat
+//!   [`dgmc_core::switch::SwitchCore`] on its area subgraph, every border a
+//!   second one on the backbone's logical network, and each area's
+//!   attachment border couples the two cores.
 //!
-//! Each area runs the *unchanged* flat D-GMC protocol internally (validated
-//! in the integration tests by running the flat DES on an extracted area),
-//! so the signaling machinery of [`dgmc_core`] carries over verbatim.
+//! Each area thus runs the *unchanged* flat D-GMC switch (also validated in
+//! the integration tests by running the flat DES on an extracted area), so
+//! the signaling machinery of [`dgmc_core`] carries over verbatim.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

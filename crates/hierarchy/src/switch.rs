@@ -1,38 +1,43 @@
 //! The two-level hierarchical D-GMC switch: full signaling over the DES.
 //!
-//! Every switch runs the *unchanged* flat [`DgmcEngine`] for its own area;
-//! border switches additionally run a second engine instance over the
-//! level-2 [`Backbone`]. The two levels couple through purely local rules at
-//! each area's designated *attachment border* (the smallest border id of the
-//! area, a deterministic choice every switch can make):
+//! Every switch runs the flat [`SwitchCore`] — the same switch body the
+//! flat simulator and the UDP node drive — for its own area, built on the
+//! area's intra-area subgraph; border switches hold a second core built on
+//! the level-2 [`Backbone`]'s logical network. The two cores couple through
+//! purely local rules at each area's designated *attachment border* (the
+//! smallest border id of the area, a deterministic choice every switch can
+//! make):
 //!
 //! * **up-coupling** — when the attachment observes (through its area
-//!   engine) that the area has members for a connection, it joins the
+//!   core) that the area has members for a connection, it joins the
 //!   backbone instance of that connection on the area's behalf; when the
 //!   area empties, it leaves;
 //! * **down-coupling** — when the attachment observes (through its backbone
-//!   engine) that the connection spans **two or more** areas, it joins its
+//!   core) that the connection spans **two or more** areas, it joins its
 //!   own area's connection as a *relay* so the area tree spans it; when the
-//!   connection collapses back to one area, the relay leaves.
+//!   connection collapses back to one area, the relay leaves. A host leave
+//!   at the attachment re-runs this rule, so the attachment stays on the
+//!   area tree while the connection still spans areas.
 //!
-//! Flooding is scoped: area MC LSAs relay over intra-area links only, so an
-//! intra-area event reaches `|area|` switches (the [`crate::scope`] win,
-//! now realized in actual packet counts); backbone MC LSAs travel *logical*
-//! links — border-to-border tunnels whose latency is the expansion path's
-//! hop count times the per-hop delay.
+//! Flooding is scoped by construction: the area core's only links are
+//! intra-area links, so an intra-area event reaches `|area|` switches (the
+//! [`crate::scope`] win, realized in actual packet counts); the backbone
+//! core's links are *logical* — border-to-border tunnels whose latency is
+//! the expansion path's hop count times the per-hop delay.
 //!
 //! Data crosses levels at attachments: packets tree-flood within the member
 //! areas and ride the backbone tree (expanded over tunnels) between them.
 
 use crate::backbone::Backbone;
 use crate::{AreaId, AreaMap};
-use dgmc_core::switch::DgmcConfig;
-use dgmc_core::{DgmcAction, DgmcEngine, McId, McLsa};
-use dgmc_des::{Actor, ActorId, Ctx, Envelope, Simulation};
-use dgmc_lsr::flood::Flooder;
-use dgmc_lsr::lsa::FloodPacket;
+use dgmc_core::switch::{
+    counters as core_counters, DgmcConfig, DgmcPayload, Frame, Output, SwitchCore,
+};
+use dgmc_core::{DgmcEngine, McId};
+use dgmc_des::{Actor, ActorId, Ctx, Envelope, SimDuration, Simulation};
 use dgmc_mctree::{McAlgorithm, McType, Role};
-use dgmc_topology::{LinkId, Network, NodeId};
+use dgmc_obs::MetricsRegistry;
+use dgmc_topology::{LinkId, Network, NodeId, SpfCache};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
@@ -76,19 +81,13 @@ pub enum HierDataKind {
 /// Messages delivered to a [`HierSwitch`].
 #[derive(Debug, Clone)]
 pub enum HierMsg {
-    /// An intra-area flood packet arriving over a physical link.
-    AreaPacket {
-        /// The packet.
-        packet: FloodPacket<McLsa>,
-        /// Arrival link.
-        via: LinkId,
-    },
-    /// A backbone flood packet tunneled from another border.
-    BackbonePacket {
-        /// The packet.
-        packet: FloodPacket<McLsa>,
-        /// The tunneling border.
-        from: NodeId,
+    /// A frame of the `level` core from the switch `Envelope::from` (an
+    /// area neighbour, or the border that tunneled a backbone frame).
+    Frame {
+        /// The core the frame belongs to.
+        level: Level,
+        /// The frame.
+        frame: Frame,
     },
     /// An attached host joins `mc`.
     HostJoin {
@@ -106,7 +105,7 @@ pub enum HierMsg {
     },
     /// A `Tc` computation timer fired for the given level.
     ComputationDone {
-        /// Which engine was computing.
+        /// Which core was computing.
         level: Level,
         /// The connection.
         mc: McId,
@@ -136,56 +135,42 @@ pub mod counters {
     pub const DATA_DELIVERED: &str = "hier.data_delivered";
 }
 
-/// A switch participating in two-level hierarchical D-GMC.
+/// A switch participating in two-level hierarchical D-GMC: an area
+/// [`SwitchCore`], a backbone one on borders, and the coupling rules.
+#[derive(Debug)]
 pub struct HierSwitch {
     me: NodeId,
-    area: AreaId,
-    config: DgmcConfig,
-    /// Static intra-area subgraph (this hierarchical variant models
-    /// membership dynamics; link events are the flat protocol's domain).
-    area_net: Rc<Network>,
-    backbone: Rc<Backbone>,
+    per_hop: SimDuration,
     /// Designated attachment border of this switch's own area.
     my_attachment: NodeId,
-    area_engine: DgmcEngine,
-    bb_engine: Option<DgmcEngine>,
-    area_flooder: Flooder,
-    bb_flooder: Flooder,
+    area_core: SwitchCore,
+    bb_core: Option<SwitchCore>,
+    /// Physical intra-area links, for the data plane.
     intra_links: Vec<(LinkId, NodeId)>,
     /// Logical backbone neighbors with tunnel hop counts (borders only).
     bb_neighbors: Vec<(NodeId, u64)>,
     /// Connections where a local host is a member (vs. relay joins).
     host_member: BTreeSet<McId>,
-    /// MC types seen, for relay joins.
-    mc_types: BTreeMap<McId, McType>,
     delivered: BTreeMap<(McId, u64), u32>,
 }
 
-impl std::fmt::Debug for HierSwitch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HierSwitch")
-            .field("me", &self.me)
-            .field("area", &self.area)
-            .finish()
-    }
-}
-
 impl HierSwitch {
-    /// Creates the switch.
+    /// Creates the switch: its area core runs on `area_net`, a border's
+    /// backbone core on `backbone.logical()`.
     #[allow(clippy::too_many_arguments)]
     fn new(
         me: NodeId,
         net: &Network,
         map: &AreaMap,
-        area_net: Rc<Network>,
-        backbone: Rc<Backbone>,
+        area_net: &Network,
+        backbone: &Backbone,
         config: DgmcConfig,
         algorithm: Rc<dyn McAlgorithm>,
-        attachments: &BTreeMap<AreaId, NodeId>,
+        spf_cache: &SpfCache,
+        attachment: NodeId,
     ) -> HierSwitch {
-        let area = map.area_of(me);
-        let borders = map.borders(net);
-        let is_border = borders.contains(&me);
+        let tc = config.tc.as_nanos();
+        let is_border = map.borders(net).contains(&me);
         let intra_links = net
             .links()
             .filter(|l| l.is_up() && (l.a == me || l.b == me))
@@ -209,31 +194,26 @@ impl HierSwitch {
         };
         HierSwitch {
             me,
-            area,
-            config,
-            area_net,
-            backbone,
-            my_attachment: attachments[&area],
-            area_engine: DgmcEngine::new(me, net.len(), Rc::clone(&algorithm)),
-            bb_engine: is_border.then(|| DgmcEngine::new(me, net.len(), algorithm)),
-            area_flooder: Flooder::new(me),
-            bb_flooder: Flooder::new(me),
+            per_hop: config.per_hop,
+            my_attachment: attachment,
+            area_core: SwitchCore::new(me, area_net, tc, Rc::clone(&algorithm), spf_cache.clone()),
+            bb_core: is_border
+                .then(|| SwitchCore::new(me, backbone.logical(), tc, algorithm, spf_cache.clone())),
             intra_links,
             bb_neighbors,
             host_member: BTreeSet::new(),
-            mc_types: BTreeMap::new(),
             delivered: BTreeMap::new(),
         }
     }
 
     /// The area-level engine (for inspection).
     pub fn area_engine(&self) -> &DgmcEngine {
-        &self.area_engine
+        self.area_core.engine()
     }
 
     /// The backbone engine, if this switch is a border.
     pub fn backbone_engine(&self) -> Option<&DgmcEngine> {
-        self.bb_engine.as_ref()
+        self.bb_core.as_ref().map(SwitchCore::engine)
     }
 
     /// Copies of `(mc, packet_id)` delivered to the local host.
@@ -246,63 +226,78 @@ impl HierSwitch {
         self.me == self.my_attachment
     }
 
-    fn flood_area(&mut self, ctx: &mut Ctx<'_, HierMsg>, lsa: McLsa) {
-        let packet = self.area_flooder.originate(lsa);
-        for &(link, neighbor) in &self.intra_links {
-            ctx.send(
-                ActorId(neighbor.0),
-                self.config.per_hop,
-                HierMsg::AreaPacket {
-                    packet: packet.clone(),
-                    via: link,
-                },
-            );
-        }
-    }
-
-    fn flood_backbone(&mut self, ctx: &mut Ctx<'_, HierMsg>, lsa: McLsa) {
-        let packet = self.bb_flooder.originate(lsa);
-        for &(neighbor, hops) in &self.bb_neighbors {
-            ctx.send(
-                ActorId(neighbor.0),
-                self.config.per_hop * hops,
-                HierMsg::BackbonePacket {
-                    packet: packet.clone(),
-                    from: self.me,
-                },
-            );
-        }
-    }
-
-    fn execute(&mut self, ctx: &mut Ctx<'_, HierMsg>, level: Level, actions: Vec<DgmcAction>) {
-        for action in actions {
-            match action {
-                DgmcAction::Flood(lsa) => match level {
-                    Level::Area => self.flood_area(ctx, lsa),
-                    Level::Backbone => self.flood_backbone(ctx, lsa),
-                },
-                DgmcAction::StartComputation { mc } => {
+    /// Runs one handler of the `level` core (a no-op on a switch without
+    /// that core), replays its outputs in order and returns `true` if the
+    /// handler processed a fresh MC LSA.
+    fn drive(
+        &mut self,
+        ctx: &mut Ctx<'_, HierMsg>,
+        level: Level,
+        handler: impl FnOnce(&mut SwitchCore, u64, &mut MetricsRegistry) -> Vec<Output>,
+    ) -> bool {
+        let core = match level {
+            Level::Area => Some(&mut self.area_core),
+            Level::Backbone => self.bb_core.as_mut(),
+        };
+        let Some(core) = core else {
+            return false;
+        };
+        let now = ctx.now().as_nanos();
+        let before = ctx.metrics().counter_value(core_counters::MC_LSAS);
+        let outputs = handler(core, now, ctx.metrics());
+        let fresh = ctx.metrics().counter_value(core_counters::MC_LSAS) > before;
+        for output in outputs {
+            match output {
+                Output::Send { to, frame } => {
+                    let delay = match level {
+                        Level::Area => self.per_hop,
+                        Level::Backbone => self.per_hop * self.tunnel_hops(to),
+                    };
+                    ctx.send(ActorId(to.0), delay, HierMsg::Frame { level, frame });
+                }
+                Output::StartTimer { mc, after_nanos } => {
                     let counter = match level {
                         Level::Area => counters::AREA_COMPUTATIONS,
                         Level::Backbone => counters::BB_COMPUTATIONS,
                     };
                     ctx.counter(counter).incr();
-                    ctx.schedule_self(self.config.tc, HierMsg::ComputationDone { level, mc });
+                    ctx.schedule_self(
+                        SimDuration::nanos(after_nanos),
+                        HierMsg::ComputationDone { level, mc },
+                    );
                 }
-                DgmcAction::Installed { .. } | DgmcAction::Withdrawn { .. } => {}
             }
         }
+        fresh
+    }
+
+    /// Hop count of the tunnel to logical backbone neighbour `to`.
+    fn tunnel_hops(&self, to: NodeId) -> u64 {
+        self.bb_neighbors
+            .iter()
+            .find(|&&(n, _)| n == to)
+            .map(|&(_, hops)| hops)
+            .expect("backbone frames go to logical neighbours")
     }
 
     /// `true` when the area has *host* members for `mc` — the attachment's
     /// own relay membership (a down-coupling artifact) does not count, or
     /// empty areas would re-attach themselves forever.
     fn area_has_host_members(&self, mc: McId) -> bool {
-        self.area_engine.state(mc).is_some_and(|st| {
+        self.area_engine().state(mc).is_some_and(|st| {
             st.members
                 .keys()
                 .any(|&m| m != self.me || self.host_member.contains(&mc))
         })
+    }
+
+    /// The connection's type, read from the area core of an area with
+    /// host members.
+    fn area_mc_type(&self, mc: McId) -> McType {
+        self.area_engine()
+            .state(mc)
+            .expect("an area with host members knows the connection")
+            .mc_type
     }
 
     /// Up-coupling: the attachment mirrors its area's membership into the
@@ -311,18 +306,20 @@ impl HierSwitch {
         if !self.is_attachment() {
             return;
         }
-        let area_has_members = self.area_has_host_members(mc);
-        let Some(bb) = self.bb_engine.as_mut() else {
+        let Some(bb) = self.backbone_engine() else {
             return;
         };
         let bb_member = bb.is_member(mc);
-        let mc_type = self.mc_types.get(&mc).copied().unwrap_or(McType::Symmetric);
+        let area_has_members = self.area_has_host_members(mc);
         if area_has_members && !bb_member {
-            let actions = bb.local_join(mc, mc_type, Role::Receiver);
-            self.execute(ctx, Level::Backbone, actions);
+            let mc_type = self.area_mc_type(mc);
+            self.drive(ctx, Level::Backbone, |core, now, m| {
+                core.on_join(now, m, mc, mc_type, Role::Receiver)
+            });
         } else if !area_has_members && bb_member {
-            let actions = bb.local_leave(mc);
-            self.execute(ctx, Level::Backbone, actions);
+            self.drive(ctx, Level::Backbone, |core, now, m| {
+                core.on_leave(now, m, mc)
+            });
         }
     }
 
@@ -332,23 +329,23 @@ impl HierSwitch {
         if !self.is_attachment() {
             return;
         }
-        let Some(bb) = self.bb_engine.as_ref() else {
+        let Some(bb) = self.backbone_engine() else {
             return;
         };
         let span = bb.state(mc).map(|st| st.members.len()).unwrap_or(0);
         let cross_area = span >= 2;
-        let am_area_member = self.area_engine.is_member(mc);
+        let am_area_member = self.area_engine().is_member(mc);
         let host = self.host_member.contains(&mc);
         // Relay-join only in areas that actually participate: the relay's
         // purpose is to make the member area's tree span the attachment.
         let participates = self.area_has_host_members(mc);
-        let mc_type = self.mc_types.get(&mc).copied().unwrap_or(McType::Symmetric);
         if cross_area && participates && !am_area_member {
-            let actions = self.area_engine.local_join(mc, mc_type, Role::Receiver);
-            self.execute(ctx, Level::Area, actions);
+            let mc_type = self.area_mc_type(mc);
+            self.drive(ctx, Level::Area, |core, now, m| {
+                core.on_join(now, m, mc, mc_type, Role::Receiver)
+            });
         } else if !cross_area && am_area_member && !host {
-            let actions = self.area_engine.local_leave(mc);
-            self.execute(ctx, Level::Area, actions);
+            self.drive(ctx, Level::Area, |core, now, m| core.on_leave(now, m, mc));
         }
     }
 
@@ -360,7 +357,7 @@ impl HierSwitch {
     }
 
     fn area_tree_neighbors(&self, mc: McId, except: Option<NodeId>) -> Vec<(LinkId, NodeId)> {
-        let Some(tree) = self.area_engine.installed(mc) else {
+        let Some(tree) = self.area_engine().installed(mc) else {
             return Vec::new();
         };
         tree.neighbors_in(self.me)
@@ -376,7 +373,7 @@ impl HierSwitch {
     }
 
     fn bb_tree_neighbors(&self, mc: McId, except: Option<NodeId>) -> Vec<(NodeId, u64)> {
-        let Some(bb) = self.bb_engine.as_ref() else {
+        let Some(bb) = self.backbone_engine() else {
             return Vec::new();
         };
         let Some(tree) = bb.installed(mc) else {
@@ -389,6 +386,9 @@ impl HierSwitch {
             .collect()
     }
 
+    /// Delivers `data` locally and forwards it along the area tree (except
+    /// back to `from`); with `and_backbone`, an attachment also bridges it
+    /// onto the backbone tree.
     fn forward_area_tree(
         &mut self,
         ctx: &mut Ctx<'_, HierMsg>,
@@ -400,7 +400,7 @@ impl HierSwitch {
         for (link, n) in self.area_tree_neighbors(data.mc, from) {
             ctx.send(
                 ActorId(n.0),
-                self.config.per_hop,
+                self.per_hop,
                 HierMsg::Data(HierData {
                     kind: HierDataKind::AreaTree { via: Some(link) },
                     ..data.clone()
@@ -408,16 +408,22 @@ impl HierSwitch {
             );
         }
         if and_backbone && self.is_attachment() {
-            for (n, hops) in self.bb_tree_neighbors(data.mc, None) {
-                ctx.send(
-                    ActorId(n.0),
-                    self.config.per_hop * hops,
-                    HierMsg::Data(HierData {
-                        kind: HierDataKind::BackboneHop { from: self.me },
-                        ..data.clone()
-                    }),
-                );
-            }
+            self.tunnel_data(ctx, &data, None);
+        }
+    }
+
+    /// Tunnels `data` to this border's backbone-tree neighbours except
+    /// `except`.
+    fn tunnel_data(&self, ctx: &mut Ctx<'_, HierMsg>, data: &HierData, except: Option<NodeId>) {
+        for (n, hops) in self.bb_tree_neighbors(data.mc, except) {
+            ctx.send(
+                ActorId(n.0),
+                self.per_hop * hops,
+                HierMsg::Data(HierData {
+                    kind: HierDataKind::BackboneHop { from: self.me },
+                    ..data.clone()
+                }),
+            );
         }
     }
 
@@ -435,25 +441,15 @@ impl HierSwitch {
                 // origin-area traffic: backbone crossings re-enter areas
                 // *from* the attachment (which never receives its own
                 // injection back — area trees are acyclic).
-                let bridge = self.is_attachment();
-                self.forward_area_tree(ctx, data, from, bridge);
+                self.forward_area_tree(ctx, data, from, true);
             }
             HierDataKind::BackboneHop { from } => {
                 // Relay along the backbone tree.
-                for (n, hops) in self.bb_tree_neighbors(data.mc, Some(from)) {
-                    ctx.send(
-                        ActorId(n.0),
-                        self.config.per_hop * hops,
-                        HierMsg::Data(HierData {
-                            kind: HierDataKind::BackboneHop { from: self.me },
-                            ..data.clone()
-                        }),
-                    );
-                }
+                self.tunnel_data(ctx, &data, Some(from));
                 // Inject into the local area tree (we are this area's
                 // attachment if we are on the backbone tree for the MC and
                 // our area participates).
-                if self.is_attachment() && self.area_engine.is_member(data.mc) {
+                if self.is_attachment() && self.area_engine().is_member(data.mc) {
                     let d = HierData {
                         kind: HierDataKind::AreaTree { via: None },
                         ..data
@@ -468,89 +464,56 @@ impl HierSwitch {
 impl Actor<HierMsg> for HierSwitch {
     fn handle(&mut self, ctx: &mut Ctx<'_, HierMsg>, env: Envelope<HierMsg>) {
         match env.msg {
-            HierMsg::AreaPacket { packet, via } => {
-                if !self.area_flooder.accept(packet.id) {
+            HierMsg::Frame { level, frame } => {
+                let from = NodeId(env.from.expect("frames are sent by switches").0);
+                let mc = match &frame {
+                    Frame::Flood(packet) => match &packet.payload {
+                        DgmcPayload::Mc(lsa) => Some(lsa.mc),
+                        DgmcPayload::Router(_) => None,
+                    },
+                    Frame::DbSync { .. } | Frame::Data(_) => None,
+                };
+                let fresh = self.drive(ctx, level, |core, now, m| {
+                    core.on_frame(now, m, from, frame)
+                });
+                // Only a fresh MC LSA counts and may trigger coupling.
+                let (true, Some(mc)) = (fresh, mc) else {
                     return;
-                }
-                for &(link, neighbor) in &self.intra_links {
-                    if link == via {
-                        continue;
+                };
+                match level {
+                    Level::Area => {
+                        ctx.counter(counters::AREA_LSAS).incr();
+                        self.couple_up(ctx, mc);
                     }
-                    ctx.send(
-                        ActorId(neighbor.0),
-                        self.config.per_hop,
-                        HierMsg::AreaPacket {
-                            packet: packet.clone(),
-                            via: link,
-                        },
-                    );
-                }
-                ctx.counter(counters::AREA_LSAS).incr();
-                let lsa = packet.payload;
-                let mc = lsa.mc;
-                self.mc_types.entry(mc).or_insert(lsa.mc_type);
-                let actions = self.area_engine.on_mc_lsa(lsa);
-                self.execute(ctx, Level::Area, actions);
-                self.couple_up(ctx, mc);
-            }
-            HierMsg::BackbonePacket { packet, from } => {
-                if !self.bb_flooder.accept(packet.id) {
-                    return;
-                }
-                let relay = packet.clone();
-                for &(neighbor, hops) in &self.bb_neighbors {
-                    if neighbor == from {
-                        continue;
+                    Level::Backbone => {
+                        ctx.counter(counters::BB_LSAS).incr();
+                        self.couple_down(ctx, mc);
                     }
-                    ctx.send(
-                        ActorId(neighbor.0),
-                        self.config.per_hop * hops,
-                        HierMsg::BackbonePacket {
-                            packet: relay.clone(),
-                            from: self.me,
-                        },
-                    );
                 }
-                ctx.counter(counters::BB_LSAS).incr();
-                let lsa = packet.payload;
-                let mc = lsa.mc;
-                self.mc_types.entry(mc).or_insert(lsa.mc_type);
-                if let Some(bb) = self.bb_engine.as_mut() {
-                    let actions = bb.on_mc_lsa(lsa);
-                    self.execute(ctx, Level::Backbone, actions);
-                }
-                self.couple_down(ctx, mc);
             }
             HierMsg::HostJoin { mc, mc_type, role } => {
-                self.mc_types.insert(mc, mc_type);
                 self.host_member.insert(mc);
-                let actions = self.area_engine.local_join(mc, mc_type, role);
-                self.execute(ctx, Level::Area, actions);
+                self.drive(ctx, Level::Area, |core, now, m| {
+                    core.on_join(now, m, mc, mc_type, role)
+                });
                 self.couple_up(ctx, mc);
             }
             HierMsg::HostLeave { mc } => {
                 self.host_member.remove(&mc);
-                // Keep relay membership if the attachment still needs it.
-                let actions = self.area_engine.local_leave(mc);
-                self.execute(ctx, Level::Area, actions);
+                self.drive(ctx, Level::Area, |core, now, m| core.on_leave(now, m, mc));
                 self.couple_up(ctx, mc);
+                // An attachment still needed as a relay rejoins at once.
+                self.couple_down(ctx, mc);
             }
-            HierMsg::ComputationDone { level, mc } => match level {
-                Level::Area => {
-                    let image = Rc::clone(&self.area_net);
-                    let actions = self.area_engine.on_computation_done(mc, &image);
-                    self.execute(ctx, Level::Area, actions);
-                    self.couple_up(ctx, mc);
+            HierMsg::ComputationDone { level, mc } => {
+                self.drive(ctx, level, |core, now, m| {
+                    core.on_computation_done(now, m, mc)
+                });
+                match level {
+                    Level::Area => self.couple_up(ctx, mc),
+                    Level::Backbone => self.couple_down(ctx, mc),
                 }
-                Level::Backbone => {
-                    let backbone = Rc::clone(&self.backbone);
-                    if let Some(bb) = self.bb_engine.as_mut() {
-                        let actions = bb.on_computation_done(mc, backbone.logical());
-                        self.execute(ctx, Level::Backbone, actions);
-                    }
-                    self.couple_down(ctx, mc);
-                }
-            },
+            }
             HierMsg::SendData { mc, packet_id } => {
                 let data = HierData {
                     mc,
@@ -558,28 +521,9 @@ impl Actor<HierMsg> for HierSwitch {
                     origin: self.me,
                     kind: HierDataKind::AreaTree { via: None },
                 };
-                self.forward_area_tree(ctx, data, None, false);
-                // The injection also rides toward the attachment through
-                // the tree; the attachment bridges when it is hit. If we
-                // *are* the attachment, bridge immediately.
-                if self.is_attachment() {
-                    let d = HierData {
-                        mc,
-                        packet_id,
-                        origin: self.me,
-                        kind: HierDataKind::AreaTree { via: None },
-                    };
-                    for (n, hops) in self.bb_tree_neighbors(d.mc, None) {
-                        ctx.send(
-                            ActorId(n.0),
-                            self.config.per_hop * hops,
-                            HierMsg::Data(HierData {
-                                kind: HierDataKind::BackboneHop { from: self.me },
-                                ..d.clone()
-                            }),
-                        );
-                    }
-                }
+                // The injection rides the area tree toward the attachment,
+                // which bridges it when hit; an attachment bridges at once.
+                self.forward_area_tree(ctx, data, None, true);
             }
             HierMsg::Data(data) => self.on_data(ctx, data),
         }
@@ -590,7 +534,8 @@ impl Actor<HierMsg> for HierSwitch {
     }
 }
 
-/// Builds a hierarchical simulation: one [`HierSwitch`] per node.
+/// Builds a hierarchical simulation: one [`HierSwitch`] per node. All
+/// cores share one [`SpfCache`], as in the flat simulator.
 ///
 /// # Panics
 ///
@@ -601,7 +546,7 @@ pub fn build_hier_sim(
     config: DgmcConfig,
     algorithm: Rc<dyn McAlgorithm>,
 ) -> Simulation<HierMsg> {
-    let backbone = Rc::new(Backbone::build(net, map));
+    let backbone = Backbone::build(net, map);
     let borders = map.borders(net);
     // Designated attachment per area: the smallest border id; for a
     // single-area map every switch is its own "attachment" (unused).
@@ -617,11 +562,11 @@ pub fn build_hier_sim(
             });
         attachments.insert(area, att);
     }
-    // Per-area subgraphs shared among the area's switches.
-    let area_nets: BTreeMap<AreaId, Rc<Network>> = map
+    let area_nets: BTreeMap<AreaId, Network> = map
         .area_ids()
-        .map(|area| (area, Rc::new(map.area_subgraph(net, area))))
+        .map(|area| (area, map.area_subgraph(net, area)))
         .collect();
+    let spf_cache = SpfCache::new();
     let mut sim = Simulation::new();
     for n in net.nodes() {
         let area = map.area_of(n);
@@ -629,11 +574,12 @@ pub fn build_hier_sim(
             n,
             net,
             map,
-            Rc::clone(&area_nets[&area]),
-            Rc::clone(&backbone),
+            &area_nets[&area],
+            &backbone,
             config,
             Rc::clone(&algorithm),
-            &attachments,
+            &spf_cache,
+            attachments[&area],
         );
         let id = sim.add_actor(Box::new(sw));
         debug_assert_eq!(id.index(), n.index());

@@ -289,3 +289,48 @@ fn randomized_multi_area_churn_converges() {
         }
     }
 }
+
+#[test]
+fn attachment_host_leave_keeps_cross_area_data_flowing() {
+    let (_net, map, mut sim) = setup(4);
+    let attachment = map
+        .switches_in(AreaId(0))
+        .into_iter()
+        .find(|&s| switch(&sim, s).is_attachment())
+        .expect("area 0 has an attachment");
+    let (local, remote) = (NodeId(0), NodeId(13));
+    assert_eq!(attachment, NodeId(2));
+    assert_eq!(map.area_of(local), AreaId(0));
+    assert_eq!(map.area_of(remote), AreaId(3));
+    join(&mut sim, attachment, 0);
+    join(&mut sim, local, 5);
+    join(&mut sim, remote, 10);
+    assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+    // The attachment's own host leaves; the connection still spans areas 0
+    // and 3, so the attachment must stay on area 0's tree as a relay.
+    sim.inject(
+        ActorId(attachment.0),
+        SimDuration::millis(50),
+        HierMsg::HostLeave { mc: MC },
+    );
+    assert_eq!(sim.run_to_quiescence(), RunOutcome::Quiescent);
+    assert!(switch(&sim, attachment).area_engine().is_member(MC));
+    assert!(area_consensus(&sim, &map, AreaId(0)));
+    for (pid, from, to) in [(1, remote, local), (2, local, remote)] {
+        sim.inject(
+            ActorId(from.0),
+            SimDuration::millis(100),
+            HierMsg::SendData {
+                mc: MC,
+                packet_id: pid,
+            },
+        );
+        sim.run_to_quiescence();
+        assert_eq!(
+            switch(&sim, to).delivered_copies(MC, pid),
+            1,
+            "packet {pid} from {from} must reach {to} exactly once"
+        );
+        assert_eq!(switch(&sim, attachment).delivered_copies(MC, pid), 0);
+    }
+}

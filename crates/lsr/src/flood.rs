@@ -6,7 +6,7 @@
 //! the arrival link, and drops duplicates.
 
 use crate::lsa::{FloodId, FloodPacket};
-use dgmc_topology::{LinkId, NodeId};
+use dgmc_topology::NodeId;
 use std::collections::HashSet;
 
 /// Per-node flooding engine: originates flood ids and suppresses duplicates.
@@ -76,22 +76,6 @@ impl Flooder {
     }
 }
 
-/// The links a relaying node must forward a just-accepted packet on:
-/// every up link except the (optional) arrival link.
-///
-/// `incident` is the node's local view of its links as
-/// `(link, neighbor, up)` triples.
-pub fn relay_links(
-    incident: &[(LinkId, NodeId, bool)],
-    arrival: Option<LinkId>,
-) -> Vec<(LinkId, NodeId)> {
-    incident
-        .iter()
-        .filter(|(l, _, up)| *up && Some(*l) != arrival)
-        .map(|(l, n, _)| (*l, *n))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,19 +108,6 @@ mod tests {
         let mut f = Flooder::new(NodeId(2));
         let pkt = f.originate(());
         assert!(!f.accept(pkt.id), "a reflected copy must be dropped");
-    }
-
-    #[test]
-    fn relay_links_excludes_arrival_and_down() {
-        let incident = vec![
-            (LinkId(0), NodeId(1), true),
-            (LinkId(1), NodeId(2), false),
-            (LinkId(2), NodeId(3), true),
-        ];
-        let out = relay_links(&incident, Some(LinkId(0)));
-        assert_eq!(out, vec![(LinkId(2), NodeId(3))]);
-        let all = relay_links(&incident, None);
-        assert_eq!(all, vec![(LinkId(0), NodeId(1)), (LinkId(2), NodeId(3))]);
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //!   image* of the network it induces,
 //! * [`RoutingTable`] — unicast next-hop tables computed from the local
 //!   image by Dijkstra SPF,
-//! * [`LsrNode`] — the per-switch state machine tying these together, and
-//!   [`actor::LsrActor`] — a ready-made DES actor used to exercise the
-//!   substrate standalone.
+//! * [`codec`] — the wire encodings of flood ids and router LSAs.
+//!
+//! The router that ties these together — incident links, router-LSA
+//! origination, relaying and route recomputation — is the D-GMC switch
+//! itself (`dgmc_core::switch::SwitchCore`), so the one switch body every
+//! driver runs is also the only LSR router.
 //!
 //! # Examples
 //!
@@ -38,15 +41,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod actor;
 pub mod codec;
 pub mod flood;
 pub mod lsa;
 
 mod lsdb;
-mod node;
 mod routes;
 
 pub use lsdb::Lsdb;
-pub use node::{LsrAction, LsrNode};
 pub use routes::RoutingTable;

@@ -1,9 +1,9 @@
-//! Property-based tests of the LSR substrate over random networks.
+//! Property-based tests of the LSR substrate's pure parts (LSDB and codec)
+//! over random networks. The flooding and route-convergence properties run
+//! on the D-GMC switches themselves, in `dgmc-core`'s `lsr_properties.rs`.
 
-use dgmc_des::SimDuration;
-use dgmc_lsr::actor::{build_lsr_sim, counters, inject_link_event};
 use dgmc_lsr::lsa::RouterLsa;
-use dgmc_lsr::{Lsdb, RoutingTable};
+use dgmc_lsr::Lsdb;
 use dgmc_topology::{generate, Network, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -32,69 +32,6 @@ proptest! {
         for l in net.up_links() {
             let il = image.link_between(l.a, l.b).expect("present");
             prop_assert_eq!(il.cost, l.cost);
-        }
-    }
-
-    /// A flooded advertisement is accepted exactly once per switch still
-    /// reachable from the detector (the failed link may be a bridge, in
-    /// which case the far side legitimately misses the flood), and the
-    /// duplicate count is bounded by 2|E|.
-    #[test]
-    fn flooding_reaches_everyone_exactly_once(net in arb_net()) {
-        let mut sim = build_lsr_sim(&net, SimDuration::micros(10));
-        let victim = *net.up_links().map(|l| &l.id).next().expect("has links");
-        inject_link_event(&mut sim, &net, victim, false, SimDuration::ZERO);
-        sim.run_to_quiescence();
-        prop_assert_eq!(sim.counter_value(counters::FLOODS_ORIGINATED), 1);
-        let mut degraded = net.clone();
-        degraded.set_link_state(victim, dgmc_topology::LinkState::Down).unwrap();
-        let detector = net.link(victim).unwrap().a;
-        let reachable = dgmc_topology::spf::hop_distances(&degraded, detector)
-            .into_iter()
-            .flatten()
-            .count();
-        prop_assert_eq!(
-            sim.counter_value(counters::PACKETS_ACCEPTED),
-            (reachable - 1) as u64,
-            "one acceptance per reachable non-origin switch"
-        );
-        let dup = sim.counter_value(counters::PACKETS_DUPLICATE);
-        prop_assert!(dup <= 2 * net.up_links().count() as u64);
-    }
-
-    /// After any single link failure, all routing tables agree with the
-    /// ground truth: next hops follow shortest paths on the degraded graph
-    /// and routing is loop-free.
-    #[test]
-    fn routes_converge_after_failure(net in arb_net(), pick in any::<prop::sample::Index>()) {
-        let links: Vec<_> = net.up_links().map(|l| l.id).collect();
-        let victim = links[pick.index(links.len())];
-        let mut sim = build_lsr_sim(&net, SimDuration::micros(10));
-        inject_link_event(&mut sim, &net, victim, false, SimDuration::ZERO);
-        sim.run_to_quiescence();
-
-        let mut degraded = net.clone();
-        degraded.set_link_state(victim, dgmc_topology::LinkState::Down).unwrap();
-        // Reference tables computed offline from the degraded truth.
-        let reference: Vec<RoutingTable> = degraded
-            .nodes()
-            .map(|n| RoutingTable::compute(&degraded, n))
-            .collect();
-        // Hop-by-hop delivery over the reference tables is loop-free and
-        // costs match, for every connected pair.
-        for src in degraded.nodes() {
-            for dst in degraded.nodes() {
-                if !reference[src.index()].reaches(dst) {
-                    continue;
-                }
-                let mut cur = src;
-                let mut hops = 0;
-                while cur != dst {
-                    cur = reference[cur.index()].next_hop(dst).expect("reachable");
-                    hops += 1;
-                    prop_assert!(hops <= degraded.len(), "loop {src}->{dst}");
-                }
-            }
         }
     }
 
